@@ -14,7 +14,6 @@ from .instance import Primer, Pool, ProblemInstance, build_graph
 from .decodability import (
     DesignResult,
     SelectedPool,
-    informative_probes,
     is_strongly_r_decodable,
     verify_design,
 )
@@ -43,7 +42,6 @@ __all__ = [
     "build_graph",
     "DesignResult",
     "SelectedPool",
-    "informative_probes",
     "is_strongly_r_decodable",
     "verify_design",
     "SolverConfig",

@@ -19,7 +19,7 @@ from . import __version__
 from .datasets import EXTENSION_MODES, RandomSpec, generate_random, load_snp_table
 from .decodability import parse_design_lines, DesignResult, verify_design
 from .dnaseq import SequenceError
-from .instance import InstanceFormatError, ProblemInstance, format_instance_text, parse_instance_text
+from .instance import InstanceFormatError, ProblemInstance, fingerprint, format_instance_text, parse_instance_text
 from .oracles import BipartiteGraph, reduce_matching_to_design
 from .partition import coverage_curve, partition
 from .probespace import ConfigError, make_space
@@ -89,10 +89,9 @@ def cmd_gen(args, argv):
     )
     pools = generate_random(spec)
     text = format_instance_text(pools)
-    instance = ProblemInstance(pools, None, 1)
     lines = _manifest("gen", argv, [
         ("pools", len(pools)),
-        ("instance_sha256", instance.fingerprint),
+        ("instance_sha256", fingerprint(text)),
     ])
     lines.extend(text.splitlines())
     _write(args.out, lines)
@@ -102,11 +101,10 @@ def cmd_gen(args, argv):
 def cmd_ingest(args, argv):
     pools, skipped = load_snp_table(args.infile, args.primer_length)
     text = format_instance_text(pools)
-    instance = ProblemInstance(pools, None, 1)
     lines = _manifest("ingest", argv, [
         ("pools", len(pools)),
         ("skipped", len(skipped)),
-        ("instance_sha256", instance.fingerprint),
+        ("instance_sha256", fingerprint(text)),
     ])
     lines.extend(text.splitlines())
     _write(args.out, lines)
@@ -246,6 +244,8 @@ def cmd_reduce(args, argv):
 
 
 def cmd_bench(args, argv):
+    if args.replicates < 1:
+        raise ConfigError("replicates must be >= 1, got %d" % args.replicates)
     pool_counts = _int_list(args.pools)
     redundancies = _int_list(args.redundancy)
     descs = args.probes.split(",")

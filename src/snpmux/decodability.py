@@ -90,37 +90,13 @@ def parse_design_lines(text):
     return entries
 
 
-def informative_probes(primer, others, space):
-    """Probes of primer's unextended spectrum reached by no other primer.
+def _coverage(space, primers):
+    """One pass over every primer's adjacency: (N+ per primer, cover).
 
-    Args:
-        primer: the candidate representative.
-        others: the other selected representatives; their extended
-            spectra mask probes.
-        space: the probe space.
-
-    Returns a set of probe ids.
+    cover[x] counts the primers whose extended products reach probe x. A
+    probe is informative for the single primer covering it when that
+    primer reaches it unextended, i.e. it is in its N+ with cover 1.
     """
-    own = set(space.spectrum(primer.sequence))
-    for other in others:
-        if not own:
-            break
-        own -= space.extended_spectrum(other.sequence, other.extensions)
-    return own
-
-
-def is_strongly_r_decodable(primers, r, space):
-    """Check that every primer keeps >= r informative probes.
-
-    Coverage is counted once across all extended spectra, so the check is
-    linear in total spectrum size. A probe is informative for the single
-    primer covering it when that primer reaches it unextended.
-
-    Returns (True, witness_sets) with one sorted tuple of exactly the r
-    lowest informative probe ids per primer, or (False, None).
-    """
-    if r < 1:
-        raise ValueError("redundancy must be >= 1, got %r" % (r,))
     specs = []
     cover = {}
     for primer in primers:
@@ -130,6 +106,21 @@ def is_strongly_r_decodable(primers, r, space):
             cover[x] = cover.get(x, 0) + 1
         for x in nminus:
             cover[x] = cover.get(x, 0) + 1
+    return specs, cover
+
+
+def is_strongly_r_decodable(primers, r, space):
+    """Check that every primer keeps >= r informative probes.
+
+    Coverage is counted once across all extended spectra, so the check is
+    linear in total spectrum size.
+
+    Returns (True, witness_sets) with one sorted tuple of exactly the r
+    lowest informative probe ids per primer, or (False, None).
+    """
+    if r < 1:
+        raise ValueError("redundancy must be >= 1, got %r" % (r,))
+    specs, cover = _coverage(space, primers)
     witnesses = []
     for nplus in specs:
         own = [x for x in nplus if cover[x] == 1]
@@ -158,11 +149,6 @@ class VerificationReport:
     def ok(self):
         return not self.violations
 
-    def to_text(self):
-        lines = [v.to_line() for v in self.violations]
-        lines.append("# checked_pools=%d violations=%d" % (self.checked_pools, len(self.violations)))
-        return "\n".join(lines) + "\n"
-
 
 def verify_design(result, instance):
     """Independently verify a DesignResult against an instance.
@@ -171,9 +157,9 @@ def verify_design(result, instance):
     the result beyond the claims themselves. Every violation found is
     reported: structural problems (unknown pools, bad primer indices,
     out-of-range probe ids, duplicate selections), informative-probe
-    counts below the instance redundancy, and witness sets that are too
-    small, outside their primer's spectrum, reachable by another selected
-    primer, or overlapping another pool's witnesses.
+    counts below the instance redundancy, and witness sets with fewer
+    distinct ids than that, outside their primer's spectrum, reachable by
+    another selected primer, or overlapping another pool's witnesses.
     """
     space = instance.space
     r = instance.redundancy
@@ -186,7 +172,8 @@ def verify_design(result, instance):
                       % (result.fingerprint[:12], instance.fingerprint[:12])))
 
     seen_pools = {}
-    valid = []  # (entry, primer)
+    valid = []
+    primers = []  # representative of each valid entry
     for entry in result.selected:
         if entry.pool_id in seen_pools:
             add(Violation(entry.pool_id, KIND_STRUCTURE, "pool selected more than once"))
@@ -208,30 +195,21 @@ def verify_design(result, instance):
                           "witness probe id %d outside probe space of size %d"
                           % (bad_probe, space.size)))
             continue
-        valid.append((entry, pool.primers[entry.primer_index]))
+        valid.append(entry)
+        primers.append(pool.primers[entry.primer_index])
 
-    # recompute coverage over the valid selections
-    cover = {}
-    specs = []
-    for entry, primer in valid:
-        nplus, nminus = space.primer_adjacency(primer.sequence, primer.extensions)
-        spec = set(nplus)
-        specs.append(spec)
-        for x in nplus:
-            cover[x] = cover.get(x, 0) + 1
-        for x in nminus:
-            cover[x] = cover.get(x, 0) + 1
-
+    specs, cover = _coverage(space, primers)
     witness_owner = {}
-    for (entry, primer), spec in zip(valid, specs):
+    for entry, spec in zip(valid, specs):
         informative = sum(1 for x in spec if cover[x] == 1)
         if informative < r:
             add(Violation(entry.pool_id, KIND_INFORMATIVE,
                           "%d informative probe(s), need %d" % (informative, r)))
-        if len(entry.witnesses) < r:
+        witnesses = dict.fromkeys(entry.witnesses)  # distinct ids, claimed order
+        if len(witnesses) < r:
             add(Violation(entry.pool_id, KIND_WITNESS_COUNT,
-                          "%d witness(es), need %d" % (len(entry.witnesses), r)))
-        for w in entry.witnesses:
+                          "%d witness(es), need %d" % (len(witnesses), r)))
+        for w in witnesses:
             if w not in spec:
                 add(Violation(entry.pool_id, KIND_WITNESS_MEMBER,
                               "witness %d not in representative's spectrum" % w))

@@ -70,16 +70,6 @@ def normalize(text, *, what="sequence", allow_degenerate=False):
     return seq
 
 
-def encode(seq):
-    """Sequence to list of base codes (A=0, C=1, G=2, T=3)."""
-    return [BASE_CODE[c] for c in seq]
-
-
-def decode(codes):
-    """Base codes back to a sequence string."""
-    return "".join(BASES[c] for c in codes)
-
-
 def pack_value(seq):
     """Base-4 integer reading of seq, most significant base first.
 

@@ -20,9 +20,11 @@ and extensions a string of 1-4 distinct bases, e.g. ``ACGT`` or ``T``.
 Pool ids must be dense 0..n-1.
 """
 
+import bisect
 import hashlib
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from operator import attrgetter
 
 from .dnaseq import SequenceError, normalize
 
@@ -122,31 +124,23 @@ class ProblemInstance:
         return len(self.pools)
 
     def pool_by_id(self, pool_id):
-        i = _bisect_pools(self.pools, pool_id)
-        if i is None:
+        pools = self.pools
+        i = bisect.bisect_left(pools, pool_id, key=attrgetter("id"))
+        if i == len(pools) or pools[i].id != pool_id:
             raise KeyError("no pool with id %r" % (pool_id,))
-        return self.pools[i]
+        return pools[i]
 
     @property
     def fingerprint(self):
         """Hex sha256 of the canonical instance text."""
         if self._fingerprint is None:
-            text = format_instance_text(self.pools)
-            self._fingerprint = hashlib.sha256(text.encode()).hexdigest()
+            self._fingerprint = fingerprint(format_instance_text(self.pools))
         return self._fingerprint
 
 
-def _bisect_pools(pools, pool_id):
-    lo, hi = 0, len(pools)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if pools[mid].id < pool_id:
-            lo = mid + 1
-        else:
-            hi = mid
-    if lo < len(pools) and pools[lo].id == pool_id:
-        return lo
-    return None
+def fingerprint(text):
+    """Hex sha256 of instance text: the instance fingerprint when the text is canonical."""
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def parse_instance_text(text, require_dense=True):
@@ -220,7 +214,6 @@ class HybridizationGraph:
     def __init__(self, instance):
         space = instance.space
         pools = instance.pools
-        self.instance = instance
         self.r = instance.redundancy
         self.pools = pools
         self.primers = []
@@ -295,18 +288,6 @@ class HybridizationGraph:
     @property
     def n_probes(self):
         return len(self.probe_ids)
-
-    def primer_degree(self, i):
-        """Live degree |N+| + |N-| of primer i; rejects dead primers."""
-        if not self.alive_p[i]:
-            raise ValueError("primer %d is not live" % i)
-        return self.dp_plus[i] + self.dp_minus[i]
-
-    def probe_degree(self, v):
-        """Live degree of probe vertex v; rejects dead probes."""
-        if not self.alive_x[v]:
-            raise ValueError("probe vertex %d is not live" % v)
-        return self.dx_plus[v] + self.dx_minus[v]
 
 
 def build_graph(instance):

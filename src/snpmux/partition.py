@@ -55,13 +55,6 @@ class PartitionReport:
         return self.n_covered / denom if denom else 1.0
 
 
-def sub_instance(instance, pool_ids):
-    """Instance restricted to the given pool ids (originals preserved)."""
-    wanted = set(pool_ids)
-    pools = [pool for pool in instance.pools if pool.id in wanted]
-    return ProblemInstance(pools, instance.space, instance.redundancy)
-
-
 def _isolation_decodable(pool, space, r):
     """Can some primer of this pool alone produce r readout probes?"""
     return any(len(space.spectrum(p.sequence)) >= r for p in pool.primers)

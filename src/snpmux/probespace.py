@@ -90,19 +90,6 @@ class ProbeSpace:
         """Set of probe ids whose reverse complement occurs in y."""
         raise NotImplementedError
 
-    def extended_spectrum(self, p, extensions):
-        """Union of spectrum(p + e) over the extension bases e.
-
-        Always a superset of spectrum(p): every substring of p is a
-        substring of each extended product.
-        """
-        if not extensions:
-            raise ValueError("extension set must be non-empty")
-        nplus, nminus = self.primer_adjacency(p, extensions)
-        out = set(nplus)
-        out.update(nminus)
-        return out
-
     def primer_adjacency(self, p, extensions):
         """Spectrum split for graph building.
 

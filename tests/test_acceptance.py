@@ -242,7 +242,7 @@ class _NaiveJudge:
             for other_entry, other in reps:
                 if other_entry is not entry:
                     informative -= self._ext_spec(other)
-            if len(informative) < self.r or len(entry.witnesses) < self.r:
+            if len(informative) < self.r or len(set(entry.witnesses)) < self.r:
                 return False
             for w in entry.witnesses:
                 if w not in informative:
@@ -269,11 +269,16 @@ def test_criterion_07_verifier_catches_single_mutations():
         i = rng.randrange(len(entries))
         entry = entries[i]
         mutated = list(entries)
-        if rng.random() < 0.5:
+        roll = rng.random()
+        if roll < 0.45:
             # move one witness somewhere else in the probe space
             wits = list(entry.witnesses)
             wits[rng.randrange(len(wits))] = rng.randrange(space.size)
             mutated[i] = type(entry)(entry.pool_id, entry.primer_index, tuple(sorted(wits)))
+        elif roll < 0.55:
+            # claim one of the witnesses twice in place of the other
+            w = rng.choice(entry.witnesses)
+            mutated[i] = type(entry)(entry.pool_id, entry.primer_index, (w, w))
         else:
             # hand the pool to its other primer, keeping the old witnesses
             mutated[i] = type(entry)(entry.pool_id, 1 - entry.primer_index, entry.witnesses)

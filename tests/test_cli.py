@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from snpmux.cli import main
 
@@ -109,9 +111,42 @@ def test_exit_codes_for_bad_input(tmp_path):
     bad = tmp_path / "bad.txt"
     bad.write_text("not an instance\n")
     assert main(["solve", "--in", str(bad), "--probes", "kmer:3"]) == 2
+    # a bench grid with no replicates has no mean to report
+    assert main(["bench", "--pools", "2", "--redundancy", "1", "--probes", "kmer:3",
+                 "--algorithm", "seq", "--replicates", "0"]) == 2
     # argparse rejects unknown algorithms with a usage error
     with pytest.raises(SystemExit):
         main(["solve", "--in", str(inst), "--probes", "kmer:3", "--algorithm", "wat"])
+
+
+_SMALL_INT = st.integers(-1, 8).map(str)
+_DESIGN_LINE = st.one_of(
+    st.text(max_size=30),
+    st.tuples(_SMALL_INT, _SMALL_INT,
+              st.lists(st.integers(-1, 70).map(str), max_size=3).map(",".join))
+    .map("\t".join),
+    st.lists(st.one_of(_SMALL_INT, st.text(max_size=4)), min_size=1, max_size=4)
+    .map("\t".join),
+    st.tuples(st.sampled_from(["probes", "redundancy", "instance_sha256"]),
+              st.sampled_from(["kmer:3", "kmer:0", "wat", "1", "2", "0", "-1", "x", ""]))
+    .map(lambda kv: "# %s=%s" % kv),
+)
+
+
+@settings(max_examples=150, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(lines=st.lists(_DESIGN_LINE, max_size=8), override=st.booleans())
+def test_verify_never_raises_on_arbitrary_design_text(tmp_path, lines, override):
+    inst = tmp_path / "inst.txt"
+    if not inst.exists():
+        main(["gen", "--pools", "6", "--primer-length", "7", "--seed", "2", "--out", str(inst)])
+    design = tmp_path / "design.txt"
+    design.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    argv = ["verify", "--in", str(design), "--instance", str(inst),
+            "--out", str(tmp_path / "verify.txt")]
+    if override:
+        argv += ["--probes", "kmer:3", "--redundancy", "1"]
+    assert main(argv) in (0, 1, 2)
 
 
 def test_partition_report_structure(tmp_path):

@@ -12,7 +12,6 @@ import pytest
 from snpmux.decodability import (
     DesignResult,
     SelectedPool,
-    informative_probes,
     is_strongly_r_decodable,
     parse_design_lines,
     verify_design,
@@ -48,12 +47,18 @@ def _random_primers(rng, n, k):
 
 
 def test_informative_probes_known_example():
+    # ACG+T reaches {1, 6, 11} and CGT+A reaches {1, 6, 12}, unextended
+    # {6, 11} and {1, 6}: together only probe 11 stays informative
     space = KmerSpace(2)
     p1 = Primer("ACG", "T", ".", 0)
     p2 = Primer("CGT", "A", ".", 1)
-    assert informative_probes(p1, [p2], space) == {11}
-    assert informative_probes(p2, [p1], space) == set()
-    assert informative_probes(p1, [], space) == {6, 11}
+    assert is_strongly_r_decodable([p1], 2, space) == (True, [(6, 11)])
+    assert is_strongly_r_decodable([p1, p2], 1, space) == (False, None)
+    inst = ProblemInstance([Pool(0, (p1,)), Pool(1, (p2,))], space, 1)
+    result = DesignResult((SelectedPool(0, 0, (11,)), SelectedPool(1, 0, (1,))))
+    report = verify_design(result, inst)
+    assert [(v.pool_id, v.kind) for v in report.violations] == [
+        (1, "informative-count"), (1, "witness-cross")]
 
 
 def test_is_strongly_r_decodable_simple():
@@ -128,7 +133,6 @@ def test_verify_design_accepts_valid():
     report = verify_design(result, inst)
     assert report.ok
     assert report.checked_pools == 2
-    assert "violations=0" in report.to_text()
 
 
 def test_verify_design_structural_violations():
@@ -155,6 +159,19 @@ def test_verify_design_witness_violations():
     # empty witness set fails the count check when r >= 1
     report = verify_design(DesignResult((SelectedPool(0, 0, ()),)), inst)
     assert "witness-count" in [v.kind for v in report.violations]
+
+
+def test_verify_design_counts_distinct_witnesses():
+    # at r=2 a witness claimed twice is still one readout probe
+    space = KmerSpace(2)
+    inst = ProblemInstance([Pool(0, (Primer("ACGT", "A", ".", 0),))], space, 2)
+    assert verify_design(DesignResult((SelectedPool(0, 0, (1, 6)),)), inst).ok
+    report = verify_design(DesignResult((SelectedPool(0, 0, (6, 6)),)), inst)
+    assert [v.kind for v in report.violations] == ["witness-count"]
+    assert report.violations[0].detail == "1 witness(es), need 2"
+    # a repeated foreign witness is reported once
+    report = verify_design(DesignResult((SelectedPool(0, 0, (3, 3)),)), inst)
+    assert [v.kind for v in report.violations] == ["witness-count", "witness-membership"]
 
 
 def test_verify_design_cross_hybridization():

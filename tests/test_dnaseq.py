@@ -1,10 +1,10 @@
 import pytest
 
 from snpmux.dnaseq import (
+    BASE_CODE,
+    BASES,
     SequenceError,
     complement,
-    decode,
-    encode,
     is_degenerate,
     normalize,
     pack_value,
@@ -75,9 +75,9 @@ def test_normalize_names_the_field():
 
 
 def test_encode_decode_roundtrip():
-    assert encode("ACGT") == [0, 1, 2, 3]
-    assert decode([0, 1, 2, 3]) == "ACGT"
-    assert decode(encode("GGATTC")) == "GGATTC"
+    assert [BASE_CODE[c] for c in "ACGT"] == [0, 1, 2, 3]
+    assert "".join(BASES[c] for c in (0, 1, 2, 3)) == "ACGT"
+    assert "".join(BASES[BASE_CODE[c]] for c in "GGATTC") == "GGATTC"
 
 
 def test_pack_value_base4_msb_first():

@@ -121,11 +121,11 @@ def test_graph_structure_single_extension():
     # primer 0: N+ = probes 6,11 -> vertices 1,2; N- = probe 1 -> vertex 0
     assert g.pn_plus[0] == (1, 2)
     assert g.pn_minus[0] == (0,)
-    assert g.primer_degree(0) == 3
+    assert g.dp_plus[0] + g.dp_minus[0] == 3
     # probe CG (id 6, vertex 1) is reached unextended by both primers
     assert g.xn_plus[1] == [0, 1]
     assert g.dx_plus[1] == 2
-    assert g.probe_degree(1) == 2
+    assert g.dx_plus[1] + g.dx_minus[1] == 2
     assert g.live_primers == 2
     assert g.pruned_empty == 0
 
@@ -146,14 +146,7 @@ def test_graph_prunes_empty_spectrum_primers():
     # the pruned primer contributes no edges at all
     assert g.pn_plus[0] == ()
     assert g.pn_minus[0] == ()
-
-
-def test_graph_degree_accessors_reject_dead_vertices():
-    pools = [_pool(0, Primer("A", "C", ".", 0))]
-    inst = ProblemInstance(pools, KmerSpace(2), 1)
-    g = build_graph(inst)
-    with pytest.raises(ValueError):
-        g.primer_degree(0)
+    assert g.dp_plus[0] + g.dp_minus[0] == 0
 
 
 def test_graph_is_deterministic():

@@ -8,7 +8,6 @@ from snpmux.partition import (
     PartitionReport,
     coverage_curve,
     partition,
-    sub_instance,
     _singleton_result,
 )
 from snpmux.probespace import KmerSpace
@@ -114,10 +113,14 @@ def test_partition_covers_every_pool_exactly_once():
 def test_sub_instance_keeps_original_ids():
     pools = _copies([("AAAA", 1), ("CCCC", 2)])
     inst = ProblemInstance(pools, KmerSpace(2), 1)
-    sub = sub_instance(inst, [0, 2])
+    # partition rounds solve the residual pools as one sparse-id instance
+    sub = ProblemInstance([inst.pools[2], inst.pools[0]], inst.space, inst.redundancy)
     assert [pl.id for pl in sub.pools] == [0, 2]
-    assert sub.redundancy == inst.redundancy
-    assert sub.space is inst.space
+    assert sub.pool_by_id(2) is inst.pools[2]
+    with pytest.raises(KeyError):
+        sub.pool_by_id(1)
+    with pytest.raises(KeyError):
+        sub.pool_by_id(3)
 
 
 def test_singleton_result_picks_first_adequate_primer():

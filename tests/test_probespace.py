@@ -70,7 +70,8 @@ def test_kmer_spectrum_matches_naive_scan():
 def test_kmer_extended_spectrum():
     space = KmerSpace(2)
     # AAA extended by C is AAAC: windows AA, AA, AC -> probes TT, GT
-    assert sorted(space.extended_spectrum("AAA", "C")) == [11, 15]
+    nplus, nminus = space.primer_adjacency("AAA", "C")
+    assert sorted(nplus + nminus) == [11, 15]
 
 
 def test_kmer_adjacency_splits_plus_and_minus():
