@@ -216,23 +216,23 @@ class HybridizationGraph:
         pools = instance.pools
         self.r = instance.redundancy
         self.pools = pools
-        self.primers = []
+        primers = []
         self.primer_pool = []  # global primer index -> pool position
         self.pool_primers = []  # pool position -> [global primer index]
         for pos, pool in enumerate(pools):
             members = []
             for primer in pool.primers:
-                members.append(len(self.primers))
-                self.primers.append(primer)
+                members.append(len(primers))
+                primers.append(primer)
                 self.primer_pool.append(pos)
             self.pool_primers.append(members)
 
-        n = len(self.primers)
+        n = len(primers)
         raw_plus = [None] * n
         raw_minus = [None] * n
         probe_ids = set()
         pruned = 0
-        for i, primer in enumerate(self.primers):
+        for i, primer in enumerate(primers):
             nplus, nminus = space.primer_adjacency(primer.sequence, primer.extensions)
             if not nplus:
                 pruned += 1
@@ -247,9 +247,8 @@ class HybridizationGraph:
             logger.warning("pruned %d primer(s) with empty unextended spectrum", pruned)
 
         self.probe_ids = sorted(probe_ids)
-        self.probe_index = {pid: v for v, pid in enumerate(self.probe_ids)}
+        index = {pid: v for v, pid in enumerate(self.probe_ids)}
         m = len(self.probe_ids)
-        index = self.probe_index
         self.pn_plus = [None] * n
         self.pn_minus = [None] * n
         self.xn_plus = [[] for _ in range(m)]
@@ -283,7 +282,7 @@ class HybridizationGraph:
 
     @property
     def n_primers(self):
-        return len(self.primers)
+        return len(self.primer_pool)
 
     @property
     def n_probes(self):

@@ -20,7 +20,6 @@ includes probes gained by appending any of its extension bases.
 import logging
 
 from .dnaseq import (
-    BASES,
     BASE_CODE,
     normalize,
     pack_value,
@@ -74,17 +73,9 @@ class ProbeSpace:
     descriptor = None  # type: str
     size = None  # type: int
 
-    def probe_seq(self, pid):
-        raise NotImplementedError
-
-    def probe_id(self, seq):
-        """Dense id of a member sequence, or None if seq is not a member."""
-        raise NotImplementedError
-
     def probes(self):
-        """Yield all member sequences in id order."""
-        for pid in range(self.size):
-            yield self.probe_seq(pid)
+        """Iterate over all member sequences in id order."""
+        raise NotImplementedError
 
     def spectrum(self, y):
         """Set of probe ids whose reverse complement occurs in y."""
@@ -115,15 +106,8 @@ class KmerSpace(ProbeSpace):
         self.size = 4 ** k
         self.descriptor = "kmer:%d" % k
 
-    def probe_seq(self, pid):
-        if not (0 <= pid < self.size):
-            raise IndexError("probe id %d out of range" % pid)
-        return unpack_value(pid, self.k)
-
-    def probe_id(self, seq):
-        if len(seq) != self.k or any(c not in BASE_CODE for c in seq):
-            return None
-        return pack_value(seq)
+    def probes(self):
+        return (unpack_value(pid, self.k) for pid in range(self.size))
 
     def spectrum(self, y):
         # Rolling id of the reverse complement of each k-window. With the
@@ -207,18 +191,6 @@ class CTokenSpace(ProbeSpace):
             )
         self._roster = tokens
         self._index = {self._packed(t): rank for rank, t in enumerate(tokens)}
-
-    def probe_seq(self, pid):
-        self._ensure_index()
-        if not (0 <= pid < self.size):
-            raise IndexError("probe id %d out of range" % pid)
-        return self._roster[pid]
-
-    def probe_id(self, seq):
-        if any(ch not in BASE_CODE for ch in seq):
-            return None
-        self._ensure_index()
-        return self._index.get(self._packed(seq))
 
     def probes(self):
         self._ensure_index()
@@ -304,18 +276,11 @@ class ExplicitSpace(ProbeSpace):
         if len(set(seqs)) != len(seqs):
             raise ConfigError("probe list contains duplicates")
         self._probes = seqs
-        self._by_seq = {s: i for i, s in enumerate(seqs)}
         # spectrum lookups go through reverse complements of the probes
         self._by_rc = {reverse_complement(s): i for i, s in enumerate(seqs)}
         self._lengths = sorted({len(s) for s in seqs})
         self.size = len(seqs)
         self.descriptor = descriptor
-
-    def probe_seq(self, pid):
-        return self._probes[pid]
-
-    def probe_id(self, seq):
-        return self._by_seq.get(seq)
 
     def probes(self):
         return iter(self._probes)

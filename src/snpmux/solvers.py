@@ -12,9 +12,11 @@ verification by construction:
   and represent it by its minimum-degree unextended primer, favoring
   sparsely contested regions of the array.
 
-Degrees only decrease, so a bucket queue with lazy deletion gives
-near-constant-time minimum extraction. Ties always break toward the
-lowest index, which makes every run deterministic.
+minprimer and minprobe are one loop over a binary heap of (key, index)
+pairs packed into single ints. Degrees only decrease, so every decrease
+pushes a fresh entry and pops skip dead or stale ones. The heap yields
+the smallest live (key, index): ties always break toward the lowest
+index, which makes every run deterministic.
 
 The removal rules maintain two invariants on the live graph: a primer
 stays only while it has >= r live unextended-spectrum probes, and a
@@ -23,7 +25,7 @@ probe stays only while some live primer reaches it unextended.
 
 import logging
 from dataclasses import dataclass
-from heapq import heappush, heappop
+from heapq import heapify, heappop, heappush
 
 from .decodability import DesignResult, SelectedPool
 from .instance import build_graph
@@ -58,9 +60,8 @@ def solve(instance, config=None):
     config = config or SolverConfig()
     if config.algorithm == "seq":
         return sequential_greedy(instance)
-    if config.algorithm == "minprimer":
-        return min_primer_greedy(instance, degree_mode=config.degree_mode)
-    return min_probe_greedy(instance, degree_mode=config.degree_mode)
+    return _min_degree_greedy(instance, config.algorithm == "minprobe",
+                              config.degree_mode == "positive")
 
 
 def sequential_greedy(instance):
@@ -134,48 +135,6 @@ def sequential_greedy(instance):
                         pruned_empty=pruned_empty)
 
 
-class _BucketQueue:
-    """Min-queue over (key, index) with lazy staleness, for shrinking keys.
-
-    Every live vertex always has an entry at its current key: each key
-    decrease pushes a fresh entry, and pop skips entries whose stored
-    bucket no longer matches. Buckets are heaps so ties pop by index.
-    """
-
-    def __init__(self):
-        self.buckets = {}
-        self.floor = 0
-
-    def fill(self, pairs):
-        """Bulk-load (key, index) pairs given in increasing index order."""
-        buckets = self.buckets
-        for key, idx in pairs:
-            buckets.setdefault(key, []).append(idx)  # ascending: valid heap
-        self.floor = 0
-
-    def push(self, key, idx):
-        heappush(self.buckets.setdefault(key, []), idx)
-        if key < self.floor:
-            self.floor = key
-
-    def pop(self, current_key, alive):
-        """Smallest (key, index) among live entries, or None if exhausted."""
-        buckets = self.buckets
-        k = self.floor
-        while buckets:
-            bucket = buckets.get(k)
-            if bucket:
-                idx = heappop(bucket)
-                if alive[idx] and current_key(idx) == k:
-                    self.floor = k
-                    return idx
-                continue
-            if bucket is not None:
-                del buckets[k]
-            k += 1
-        return None
-
-
 def remove_primer(g, p):
     """Delete live primer p; cascades removals to keep graph invariants."""
     if not g.alive_p[p]:
@@ -190,13 +149,15 @@ def remove_probe(g, v):
     _cascade(g, [~v])
 
 
-def _cascade(g, stack, primer_queue=None, probe_queue=None, positive=False):
+def _cascade(g, stack, push_p=None, push_x=None, positive=False):
     """Process deletions until the degree invariants hold again.
 
     Stack entries: p >= 0 deletes primer p, ~v < 0 deletes probe vertex v.
     A primer is deleted when its live unextended spectrum drops below r;
     a probe when no live primer reaches it unextended. Entries for
     already-dead vertices are skipped, so duplicates are harmless.
+    push_p/push_x, when given, receive (new key, index) for every live
+    primer/probe whose degree drops.
     """
     r = g.r
     alive_p, alive_x = g.alive_p, g.alive_x
@@ -204,8 +165,6 @@ def _cascade(g, stack, primer_queue=None, probe_queue=None, positive=False):
     dx_plus, dx_minus = g.dx_plus, g.dx_minus
     pn_plus, pn_minus = g.pn_plus, g.pn_minus
     xn_plus, xn_minus = g.xn_plus, g.xn_minus
-    push_p = primer_queue.push if primer_queue else None
-    push_x = probe_queue.push if probe_queue else None
     pop = stack.pop
     while stack:
         entry = pop()
@@ -256,7 +215,14 @@ def _initial_prune(g):
         _cascade(g, stack)
 
 
-def _select_and_clean(g, p, selected, primer_queue, probe_queue, positive):
+def _degree_key(plus, minus, positive):
+    """Live degree of a vertex as the degree mode counts it."""
+    if positive:
+        return plus.__getitem__
+    return lambda i: plus[i] + minus[i]
+
+
+def _select_and_clean(g, p, selected, push_p, push_x, positive):
     """Select primer p as its pool's representative and clean its region.
 
     The selected primer is retired, not removed: it never enters a
@@ -268,8 +234,6 @@ def _select_and_clean(g, p, selected, primer_queue, probe_queue, positive):
     delete the remaining probes adjacent to p.
     """
     alive_p, alive_x = g.alive_p, g.alive_x
-    dx_plus, dx_minus = g.dx_plus, g.dx_minus
-    r = g.r
     pool_pos = g.primer_pool[p]
 
     alive_p[p] = 0  # retired
@@ -277,15 +241,13 @@ def _select_and_clean(g, p, selected, primer_queue, probe_queue, positive):
 
     stack = [q for q in g.pool_primers[pool_pos] if q != p and alive_p[q]]
     if stack:
-        _cascade(g, stack, primer_queue, probe_queue, positive)
+        _cascade(g, stack, push_p, push_x, positive)
 
     live_np = [v for v in g.pn_plus[p] if alive_x[v]]
-    assert len(live_np) >= r, "selected primer lost its witnesses"
-    if positive:
-        live_np.sort(key=lambda v: (dx_plus[v], v))
-    else:
-        live_np.sort(key=lambda v: (dx_plus[v] + dx_minus[v], v))
-    witnesses = live_np[:r]
+    assert len(live_np) >= g.r, "selected primer lost its witnesses"
+    # stable sort of ascending vertices: ties stay in index order
+    live_np.sort(key=_degree_key(g.dx_plus, g.dx_minus, positive))
+    witnesses = live_np[:g.r]
     for v in witnesses:
         alive_x[v] = 0  # consumed; no sweep may delete another witness
     stack = []
@@ -293,12 +255,12 @@ def _select_and_clean(g, p, selected, primer_queue, probe_queue, positive):
         stack.extend(q for q in g.xn_plus[v] if alive_p[q])
         stack.extend(q for q in g.xn_minus[v] if alive_p[q])
     if stack:
-        _cascade(g, stack, primer_queue, probe_queue, positive)
+        _cascade(g, stack, push_p, push_x, positive)
 
     stack = [~v for v in g.pn_plus[p] if alive_x[v]]
     stack.extend(~v for v in g.pn_minus[p] if alive_x[v])
     if stack:
-        _cascade(g, stack, primer_queue, probe_queue, positive)
+        _cascade(g, stack, push_p, push_x, positive)
 
     pool = g.pools[pool_pos]
     primer_index = g.pool_primers[pool_pos].index(p)
@@ -307,51 +269,37 @@ def _select_and_clean(g, p, selected, primer_queue, probe_queue, positive):
     selected.append(SelectedPool(pool.id, primer_index, witness_ids))
 
 
-def min_primer_greedy(instance, degree_mode="total"):
-    """Repeatedly select the minimum-degree live primer."""
-    positive = degree_mode == "positive"
+def _min_degree_greedy(instance, by_probe, positive):
+    """Repeatedly pop a minimum-degree live vertex and select a primer for it.
+
+    minprimer pops primers and selects the popped one; minprobe
+    (by_probe) pops probes and selects the popped probe's minimum-degree
+    unextended primer, favoring sparsely contested regions of the array.
+    """
     g = build_graph(instance)
     _initial_prune(g)
-    dp_plus, dp_minus = g.dp_plus, g.dp_minus
-    queue = _BucketQueue()
-    if positive:
-        queue.fill((dp_plus[p], p) for p in range(g.n_primers) if g.alive_p[p])
-        key = lambda p: dp_plus[p]
-    else:
-        queue.fill((dp_plus[p] + dp_minus[p], p) for p in range(g.n_primers) if g.alive_p[p])
-        key = lambda p: dp_plus[p] + dp_minus[p]
-    selected = []
     alive_p = g.alive_p
-    while g.live_primers:
-        p = queue.pop(key, alive_p)
-        assert p is not None, "live primer missing from queue"
-        _select_and_clean(g, p, selected, queue, None, positive)
-    return DesignResult(tuple(selected), fingerprint=instance.fingerprint,
-                        pruned_empty=g.pruned_empty)
-
-
-def min_probe_greedy(instance, degree_mode="total"):
-    """Select the minimum-degree probe's minimum-degree unextended primer."""
-    positive = degree_mode == "positive"
-    g = build_graph(instance)
-    _initial_prune(g)
-    dp_plus, dp_minus = g.dp_plus, g.dp_minus
-    dx_plus, dx_minus = g.dx_plus, g.dx_minus
-    queue = _BucketQueue()
-    if positive:
-        queue.fill((dx_plus[v], v) for v in range(g.n_probes) if g.alive_x[v])
-        key = lambda v: dx_plus[v]
-        pkey = lambda q: dp_plus[q]
+    pkey = _degree_key(g.dp_plus, g.dp_minus, positive)
+    if by_probe:
+        alive, key = g.alive_x, _degree_key(g.dx_plus, g.dx_minus, positive)
     else:
-        queue.fill((dx_plus[v] + dx_minus[v], v) for v in range(g.n_probes) if g.alive_x[v])
-        key = lambda v: dx_plus[v] + dx_minus[v]
-        pkey = lambda q: dp_plus[q] + dp_minus[q]
+        alive, key = alive_p, pkey
+    n = len(alive)
+    heap = [key(i) * n + i for i in range(n) if alive[i]]
+    heapify(heap)
+
+    def push(k, i):
+        heappush(heap, k * n + i)
+
+    push_p, push_x = (None, push) if by_probe else (push, None)
     selected = []
-    alive_p, alive_x = g.alive_p, g.alive_x
     while g.live_primers:
-        v = queue.pop(key, alive_x)
-        assert v is not None, "live probe missing from queue"
-        p = min((q for q in g.xn_plus[v] if alive_p[q]), key=lambda q: (pkey(q), q))
-        _select_and_clean(g, p, selected, None, queue, positive)
+        k, i = divmod(heappop(heap), n)
+        if not alive[i] or key(i) != k:
+            continue  # dead, or stale since its key dropped
+        if by_probe:
+            # xn_plus lists ascend, so min keeps the lowest index on ties
+            i = min((q for q in g.xn_plus[i] if alive_p[q]), key=pkey)
+        _select_and_clean(g, i, selected, push_p, push_x, positive)
     return DesignResult(tuple(selected), fingerprint=instance.fingerprint,
                         pruned_empty=g.pruned_empty)

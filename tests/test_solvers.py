@@ -1,16 +1,18 @@
+import hashlib
 import random
 
 import pytest
 
+from snpmux.datasets import RandomSpec, generate_random
 from snpmux.decodability import is_strongly_r_decodable, verify_design
 from snpmux.instance import Pool, Primer, ProblemInstance, build_graph
 from snpmux.oracles import brute_force_max_decodable
+from snpmux.partition import partition
 from snpmux.probespace import KmerSpace
 from snpmux.solvers import (
     ALGORITHMS,
+    DEGREE_MODES,
     SolverConfig,
-    min_primer_greedy,
-    min_probe_greedy,
     remove_primer,
     remove_probe,
     sequential_greedy,
@@ -206,8 +208,46 @@ def test_removal_order_does_not_matter():
         assert g1.dx_plus == g2.dx_plus
 
 
-def test_min_variants_match_direct_calls():
-    rng = random.Random(67)
-    inst = _random_instance(rng, 15, 2, 1)
-    assert solve(inst, SolverConfig(algorithm="minprimer")) == min_primer_greedy(inst)
-    assert solve(inst, SolverConfig(algorithm="minprobe")) == min_probe_greedy(inst)
+# sha256 of "\n".join(result.to_lines()) for 400 pools x 2 primers of
+# length 12 with "pair" extensions; a changed tie-break moves these.
+_PINNED_DESIGNS = {
+    (5, 2, "seq", "total"): "beeacd9e72886b52b7cd2ad8819e3348396989cb76e0d42186b14f1b8213c6c3",
+    (5, 2, "seq", "positive"): "beeacd9e72886b52b7cd2ad8819e3348396989cb76e0d42186b14f1b8213c6c3",
+    (5, 2, "minprimer", "total"): "0980efbd681d23b160061fd2aa6a72b8a1c453a459f93d51ef479d83d2aafd7a",
+    (5, 2, "minprimer", "positive"): "18f6d789dbbb480274bf0085785ec0d4d270801ffde6740d916b9cc29a24db1c",
+    (5, 2, "minprobe", "total"): "6bf6ab94ed46902b7700d1312c27237d16c7c46b0fcfd89da8ad41dfedac3c85",
+    (5, 2, "minprobe", "positive"): "d8eb5adc86de4467a6805a15f0181b700b1c8f372666e97a4a30cd09c87ec09b",
+    (4, 1, "seq", "total"): "3efc1a19ba4d780bd11430279a9d60ab555f4f96c2d653c14e8ccb296bcc8bc6",
+    (4, 1, "seq", "positive"): "3efc1a19ba4d780bd11430279a9d60ab555f4f96c2d653c14e8ccb296bcc8bc6",
+    (4, 1, "minprimer", "total"): "ecd371482407e91b27c8c33b210d5530369db793391ad533b53451dd5163537a",
+    (4, 1, "minprimer", "positive"): "8ae21ad8a37eb390f019238019aa30f8280982b31b45a59d515d7b2de4278781",
+    (4, 1, "minprobe", "total"): "4e09af3afe57a7faa2ec11892ca41e64a1fb9bec3dc5133ea221e10944058bbe",
+    (4, 1, "minprobe", "positive"): "87f0a6d3e0fafd41bcfb2f0855d5bf346d6df8712d7adb7cd3ca1368c74321be",
+}
+_PINNED_PARTITION = "42cf21926d7d785020ab69efc8a854ec57788424af92a926c66e39e2703e60ea"
+
+
+def _sha(lines):
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def _seeded_instance(k, r, seed):
+    pools = generate_random(RandomSpec(400, 2, 12, "pair", seed))
+    return ProblemInstance(pools, KmerSpace(k), r)
+
+
+def test_designs_match_pinned_hashes():
+    for k, r, seed in ((5, 2, 71), (4, 1, 73)):
+        inst = _seeded_instance(k, r, seed)
+        for alg in ALGORITHMS:
+            for mode in DEGREE_MODES:
+                res = solve(inst, SolverConfig(alg, mode))
+                assert _sha(res.to_lines()) == _PINNED_DESIGNS[k, r, alg, mode], (k, r, alg, mode)
+    report = partition(_seeded_instance(4, 1, 79), SolverConfig("minprobe"))
+    lines = []
+    for i, res in enumerate(report.arrays):
+        lines.append("# array %d" % i)
+        lines.extend(res.to_lines())
+    lines.append("# uncovered %s remaining %s" % (report.uncovered, report.remaining))
+    assert [res.size for res in report.arrays] == [79, 73, 73, 65, 61, 43, 6]
+    assert _sha(lines) == _PINNED_PARTITION
