@@ -9,7 +9,9 @@ representative primer and to no other selected pool's extended products.
 The hybridization graph is bipartite between primers and probes. For a
 primer p, N+(p) is the spectrum of the unextended primer (the informative
 side) and N-(p) holds the probes gained only through extension products.
-Only probes with at least one incident edge are materialized.
+Only probes with at least one incident edge are materialized. Both sides
+share one vertex space: primers first, in pool order, then probes in
+increasing probe-id order, so every deletion rule reads the same arrays.
 
 Instance text format, one primer per line, '#' comments allowed::
 
@@ -143,8 +145,8 @@ def fingerprint(text):
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def parse_instance_text(text, require_dense=True):
-    """Parse instance text into a list of pools.
+def parse_instance_text(text):
+    """Parse instance text into a list of pools with dense ids 0..n-1.
 
     Raises InstanceFormatError with a line number on malformed input.
     """
@@ -170,18 +172,16 @@ def parse_instance_text(text, require_dense=True):
         by_pool.setdefault(pool_id, []).append((line_no, primer))
 
     pools = []
-    for pool_id in sorted(by_pool):
+    for pos, pool_id in enumerate(sorted(by_pool)):
         entries = by_pool[pool_id]
         try:
             pools.append(Pool(id=pool_id, primers=tuple(p for _, p in entries)))
         except ValueError as exc:
             raise InstanceFormatError(str(exc), entries[0][0])
-    if require_dense:
-        ids = [pl.id for pl in pools]
-        if ids != list(range(len(ids))):
+        if pool_id != pos:
             raise InstanceFormatError(
-                "pool ids must be dense 0..%d, got %s..." % (len(ids) - 1, ids[:5])
-            )
+                "pool ids must be dense 0..%d: expected pool id %d, got %d"
+                % (len(by_pool) - 1, pos, pool_id), entries[0][0])
     return pools
 
 
@@ -199,16 +199,18 @@ def format_instance_text(pools):
 class HybridizationGraph:
     """Mutable bipartite primer/probe graph used by the greedy solvers.
 
-    Primers keep their global index (pool order, then position in pool)
-    even when pruned, so results can always be mapped back to the
-    instance. Probes get dense vertex indices in increasing probe-id
-    order; adjacency lists are sorted, which keeps every traversal
-    deterministic.
+    Primers and probes share one vertex space of n_primers + n_probes
+    vertices. Primer i is vertex i, in pool order then position in pool,
+    and keeps it even when pruned, so results can always be mapped back
+    to the instance. The probe of rank j in increasing probe-id order is
+    vertex n_primers + j, so vertex order is id order on both sides.
 
-    Live degrees are tracked in dp_plus/dp_minus (per primer) and
-    dx_plus/dx_minus (per probe vertex); alive_p/alive_x flag live
-    vertices. Primers whose unextended spectrum is empty can never
-    witness anything and are pruned at build (counted in pruned_empty).
+    adj_plus[u] lists u's unextended-spectrum neighbours and adj_minus[u]
+    its extension-only neighbours, both ascending, which keeps every
+    traversal deterministic. alive flags live vertices; d_plus[u] counts
+    u's live adj_plus neighbours and d_total[u] all its live neighbours.
+    Primers whose unextended spectrum is empty can never witness anything
+    and are pruned at build (counted in pruned_empty).
     """
 
     def __init__(self, instance):
@@ -217,8 +219,8 @@ class HybridizationGraph:
         self.r = instance.redundancy
         self.pools = pools
         primers = []
-        self.primer_pool = []  # global primer index -> pool position
-        self.pool_primers = []  # pool position -> [global primer index]
+        self.primer_pool = []  # primer vertex -> pool position
+        self.pool_primers = []  # pool position -> [primer vertex]
         for pos, pool in enumerate(pools):
             members = []
             for primer in pool.primers:
@@ -228,56 +230,41 @@ class HybridizationGraph:
             self.pool_primers.append(members)
 
         n = len(primers)
-        raw_plus = [None] * n
-        raw_minus = [None] * n
+        adj_plus = [()] * n
+        adj_minus = [()] * n
         probe_ids = set()
         pruned = 0
         for i, primer in enumerate(primers):
             nplus, nminus = space.primer_adjacency(primer.sequence, primer.extensions)
             if not nplus:
                 pruned += 1
-                raw_plus[i] = ()
-                raw_minus[i] = ()
                 continue
-            raw_plus[i] = nplus
-            raw_minus[i] = nminus
+            adj_plus[i] = nplus
+            adj_minus[i] = nminus
             probe_ids.update(nplus)
             probe_ids.update(nminus)
         if pruned:
             logger.warning("pruned %d primer(s) with empty unextended spectrum", pruned)
 
         self.probe_ids = sorted(probe_ids)
-        index = {pid: v for v, pid in enumerate(self.probe_ids)}
         m = len(self.probe_ids)
-        self.pn_plus = [None] * n
-        self.pn_minus = [None] * n
-        self.xn_plus = [[] for _ in range(m)]
-        self.xn_minus = [[] for _ in range(m)]
-        self.alive_p = bytearray(n)
-        self.alive_x = bytearray(b"\x01" * m)
-        self.dp_plus = [0] * n
-        self.dp_minus = [0] * n
-        self.dx_plus = [0] * m
-        self.dx_minus = [0] * m
-        live = 0
+        vertex = dict(zip(self.probe_ids, range(n, n + m))).__getitem__
+        adj_plus.extend([] for _ in range(m))
+        adj_minus.extend([] for _ in range(m))
         for i in range(n):
-            plus = tuple(index[pid] for pid in raw_plus[i])
-            minus = tuple(index[pid] for pid in raw_minus[i])
-            self.pn_plus[i] = plus
-            self.pn_minus[i] = minus
-            if not plus:
-                continue
-            self.alive_p[i] = 1
-            live += 1
-            self.dp_plus[i] = len(plus)
-            self.dp_minus[i] = len(minus)
-            for v in plus:
-                self.xn_plus[v].append(i)
-                self.dx_plus[v] += 1
-            for v in minus:
-                self.xn_minus[v].append(i)
-                self.dx_minus[v] += 1
-        self.live_primers = live
+            if adj_plus[i]:
+                plus = adj_plus[i] = tuple(map(vertex, adj_plus[i]))
+                minus = adj_minus[i] = tuple(map(vertex, adj_minus[i]))
+                for v in plus:
+                    adj_plus[v].append(i)
+                for v in minus:
+                    adj_minus[v].append(i)
+        self.adj_plus = adj_plus
+        self.adj_minus = adj_minus
+        self.alive = bytearray(map(bool, adj_plus[:n])) + b"\x01" * m
+        self.d_plus = list(map(len, adj_plus))
+        self.d_total = [d + len(a) for d, a in zip(self.d_plus, adj_minus)]
+        self.live_primers = n - pruned
         self.pruned_empty = pruned
 
     @property
@@ -287,6 +274,16 @@ class HybridizationGraph:
     @property
     def n_probes(self):
         return len(self.probe_ids)
+
+    @property
+    def pn_plus(self):
+        """N+ of every primer as probe vertices: a read-only view, copied per access."""
+        return self.adj_plus[:self.n_primers]
+
+    @property
+    def pn_minus(self):
+        """N- of every primer as probe vertices: a read-only view, copied per access."""
+        return self.adj_minus[:self.n_primers]
 
 
 def build_graph(instance):

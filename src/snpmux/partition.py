@@ -16,7 +16,6 @@ Sub-instances keep original pool ids so results map straight back.
 import logging
 from dataclasses import dataclass, replace
 
-from .decodability import DesignResult, SelectedPool
 from .instance import ProblemInstance
 from .solvers import SolverConfig, solve
 
@@ -60,16 +59,6 @@ def _isolation_decodable(pool, space, r):
     return any(len(space.spectrum(p.sequence)) >= r for p in pool.primers)
 
 
-def _singleton_result(pool, space, r):
-    """Forced-progress array: the pool alone, first adequate primer."""
-    for primer_index, primer in enumerate(pool.primers):
-        spec = sorted(space.spectrum(primer.sequence))
-        if len(spec) >= r:
-            entry = SelectedPool(pool.id, primer_index, tuple(spec[:r]))
-            return DesignResult((entry,))
-    raise AssertionError("singleton fallback on an undecodable pool")
-
-
 def partition(instance, config=None, max_arrays=None):
     """Cover the instance with arrays; see module docstring.
 
@@ -100,11 +89,10 @@ def partition(instance, config=None, max_arrays=None):
     while residual and (max_arrays is None or len(arrays) < max_arrays):
         sub = ProblemInstance(residual, space, r)
         result = solve(sub, config)
-        if result.size == 0:
-            # solver made no progress; peel off the lowest-id pool alone
-            pool = residual[0]
-            result = _singleton_result(pool, space, r)
-            logger.info("forced progress: pool %d as singleton array", pool.id)
+        if not result.size:
+            # every residual pool is decodable alone, so each solver
+            # selects at least one; never loop on an empty round
+            raise AssertionError("solver selected none of %d residual pools" % len(residual))
         arrays.append(replace(result, fingerprint=instance.fingerprint))
         taken = set(result.pool_ids())
         residual = [pool for pool in residual if pool.id not in taken]

@@ -12,15 +12,18 @@ verification by construction:
   and represent it by its minimum-degree unextended primer, favoring
   sparsely contested regions of the array.
 
-minprimer and minprobe are one loop over a binary heap of (key, index)
+minprimer and minprobe are one loop over a binary heap of (key, vertex)
 pairs packed into single ints. Degrees only decrease, so every decrease
 pushes a fresh entry and pops skip dead or stale ones. The heap yields
-the smallest live (key, index): ties always break toward the lowest
-index, which makes every run deterministic.
+the smallest live (key, vertex): ties always break toward the lowest
+vertex, which is the lowest primer index or probe id, so every run is
+deterministic.
 
 The removal rules maintain two invariants on the live graph: a primer
 stays only while it has >= r live unextended-spectrum probes, and a
-probe stays only while some live primer reaches it unextended.
+probe stays only while some live primer reaches it unextended. Both are
+one rule over the graph's shared vertex space: a vertex stays while its
+live unextended degree is at least its side's floor.
 """
 
 import logging
@@ -135,91 +138,53 @@ def sequential_greedy(instance):
                         pruned_empty=pruned_empty)
 
 
-def remove_primer(g, p):
-    """Delete live primer p; cascades removals to keep graph invariants."""
-    if not g.alive_p[p]:
-        raise ValueError("primer %d is not live" % p)
-    _cascade(g, [p])
-
-
-def remove_probe(g, v):
-    """Delete live probe vertex v; cascades removals to keep invariants."""
-    if not g.alive_x[v]:
-        raise ValueError("probe vertex %d is not live" % v)
-    _cascade(g, [~v])
-
-
 def _cascade(g, stack, push_p=None, push_x=None, positive=False):
-    """Process deletions until the degree invariants hold again.
+    """Delete the vertices on the stack until the degree invariants hold again.
 
-    Stack entries: p >= 0 deletes primer p, ~v < 0 deletes probe vertex v.
-    A primer is deleted when its live unextended spectrum drops below r;
-    a probe when no live primer reaches it unextended. Entries for
-    already-dead vertices are skipped, so duplicates are harmless.
-    push_p/push_x, when given, receive (new key, index) for every live
-    primer/probe whose degree drops.
+    Deleting a vertex lowers its live neighbours' degrees, and a
+    neighbour whose live unextended degree falls below its floor is
+    deleted in turn: r for a primer (the neighbour of a deleted probe),
+    1 for a probe (the neighbour of a deleted primer). Already-dead
+    vertices are skipped, so duplicates are harmless. push_p/push_x, when
+    given, receive every live primer/probe vertex whose degree key (as
+    positive counts it) drops.
     """
-    r = g.r
-    alive_p, alive_x = g.alive_p, g.alive_x
-    dp_plus, dp_minus = g.dp_plus, g.dp_minus
-    dx_plus, dx_minus = g.dx_plus, g.dx_minus
-    pn_plus, pn_minus = g.pn_plus, g.pn_minus
-    xn_plus, xn_minus = g.xn_plus, g.xn_minus
+    r, n = g.r, g.n_primers
+    alive, d_plus, d_total = g.alive, g.d_plus, g.d_total
+    adj_plus, adj_minus = g.adj_plus, g.adj_minus
     pop = stack.pop
     while stack:
-        entry = pop()
-        if entry >= 0:
-            p = entry
-            if not alive_p[p]:
-                continue
-            alive_p[p] = 0
+        u = pop()
+        if not alive[u]:
+            continue
+        alive[u] = 0
+        if u < n:
             g.live_primers -= 1
-            for v in pn_plus[p]:
-                if alive_x[v]:
-                    d = dx_plus[v] - 1
-                    dx_plus[v] = d
-                    if d == 0:
-                        stack.append(~v)
-                    elif push_x is not None:
-                        push_x(d if positive else d + dx_minus[v], v)
-            for v in pn_minus[p]:
-                if alive_x[v]:
-                    dx_minus[v] -= 1
-                    if push_x is not None and not positive:
-                        push_x(dx_plus[v] + dx_minus[v], v)
+            floor, push = 1, push_x
         else:
-            v = ~entry
-            if not alive_x[v]:
-                continue
-            alive_x[v] = 0
-            for p in xn_plus[v]:
-                if alive_p[p]:
-                    d = dp_plus[p] - 1
-                    dp_plus[p] = d
-                    if d < r:
-                        stack.append(p)
-                    elif push_p is not None:
-                        push_p(d if positive else d + dp_minus[p], p)
-            for p in xn_minus[v]:
-                if alive_p[p]:
-                    dp_minus[p] -= 1
-                    if push_p is not None and not positive:
-                        push_p(dp_plus[p] + dp_minus[p], p)
+            floor, push = r, push_p
+        for w in adj_plus[u]:
+            if alive[w]:
+                d = d_plus[w] - 1
+                d_plus[w] = d
+                d_total[w] -= 1
+                if d < floor:
+                    stack.append(w)
+                elif push is not None:
+                    push(w)
+        for w in adj_minus[u]:
+            if alive[w]:
+                d_total[w] -= 1
+                if push is not None and not positive:
+                    push(w)
 
 
 def _initial_prune(g):
     """Enforce the invariants on the freshly built graph."""
-    stack = [p for p in range(g.n_primers) if g.alive_p[p] and g.dp_plus[p] < g.r]
-    stack.extend(~v for v in range(g.n_probes) if g.alive_x[v] and g.dx_plus[v] == 0)
+    n, r, alive = g.n_primers, g.r, g.alive
+    stack = [u for u, d in enumerate(g.d_plus) if alive[u] and d < (r if u < n else 1)]
     if stack:
         _cascade(g, stack)
-
-
-def _degree_key(plus, minus, positive):
-    """Live degree of a vertex as the degree mode counts it."""
-    if positive:
-        return plus.__getitem__
-    return lambda i: plus[i] + minus[i]
 
 
 def _select_and_clean(g, p, selected, push_p, push_x, positive):
@@ -233,39 +198,39 @@ def _select_and_clean(g, p, selected, push_p, push_x, positive):
     selection time); delete every other primer reaching a witness; then
     delete the remaining probes adjacent to p.
     """
-    alive_p, alive_x = g.alive_p, g.alive_x
+    alive = g.alive
     pool_pos = g.primer_pool[p]
 
-    alive_p[p] = 0  # retired
+    alive[p] = 0  # retired
     g.live_primers -= 1
 
-    stack = [q for q in g.pool_primers[pool_pos] if q != p and alive_p[q]]
+    stack = [q for q in g.pool_primers[pool_pos] if q != p and alive[q]]
     if stack:
         _cascade(g, stack, push_p, push_x, positive)
 
-    live_np = [v for v in g.pn_plus[p] if alive_x[v]]
+    live_np = [v for v in g.adj_plus[p] if alive[v]]
     assert len(live_np) >= g.r, "selected primer lost its witnesses"
-    # stable sort of ascending vertices: ties stay in index order
-    live_np.sort(key=_degree_key(g.dx_plus, g.dx_minus, positive))
+    # stable sort of ascending vertices: ties stay in vertex order
+    live_np.sort(key=(g.d_plus if positive else g.d_total).__getitem__)
     witnesses = live_np[:g.r]
     for v in witnesses:
-        alive_x[v] = 0  # consumed; no sweep may delete another witness
+        alive[v] = 0  # consumed; no sweep may delete another witness
     stack = []
     for v in witnesses:
-        stack.extend(q for q in g.xn_plus[v] if alive_p[q])
-        stack.extend(q for q in g.xn_minus[v] if alive_p[q])
+        stack.extend(q for q in g.adj_plus[v] if alive[q])
+        stack.extend(q for q in g.adj_minus[v] if alive[q])
     if stack:
         _cascade(g, stack, push_p, push_x, positive)
 
-    stack = [~v for v in g.pn_plus[p] if alive_x[v]]
-    stack.extend(~v for v in g.pn_minus[p] if alive_x[v])
+    stack = [v for v in g.adj_plus[p] if alive[v]]
+    stack.extend(v for v in g.adj_minus[p] if alive[v])
     if stack:
         _cascade(g, stack, push_p, push_x, positive)
 
     pool = g.pools[pool_pos]
     primer_index = g.pool_primers[pool_pos].index(p)
-    probe_ids = g.probe_ids
-    witness_ids = tuple(sorted(probe_ids[v] for v in witnesses))
+    probe_ids, n = g.probe_ids, g.n_primers
+    witness_ids = tuple(sorted(probe_ids[v - n] for v in witnesses))
     selected.append(SelectedPool(pool.id, primer_index, witness_ids))
 
 
@@ -278,28 +243,25 @@ def _min_degree_greedy(instance, by_probe, positive):
     """
     g = build_graph(instance)
     _initial_prune(g)
-    alive_p = g.alive_p
-    pkey = _degree_key(g.dp_plus, g.dp_minus, positive)
-    if by_probe:
-        alive, key = g.alive_x, _degree_key(g.dx_plus, g.dx_minus, positive)
-    else:
-        alive, key = alive_p, pkey
-    n = len(alive)
-    heap = [key(i) * n + i for i in range(n) if alive[i]]
+    alive = g.alive
+    key = g.d_plus if positive else g.d_total
+    n, size = g.n_primers, len(alive)
+    side = range(n, size) if by_probe else range(n)
+    heap = [key[u] * size + u for u in side if alive[u]]
     heapify(heap)
 
-    def push(k, i):
-        heappush(heap, k * n + i)
+    def push(u):
+        heappush(heap, key[u] * size + u)
 
     push_p, push_x = (None, push) if by_probe else (push, None)
     selected = []
     while g.live_primers:
-        k, i = divmod(heappop(heap), n)
-        if not alive[i] or key(i) != k:
+        k, u = divmod(heappop(heap), size)
+        if not alive[u] or key[u] != k:
             continue  # dead, or stale since its key dropped
         if by_probe:
-            # xn_plus lists ascend, so min keeps the lowest index on ties
-            i = min((q for q in g.xn_plus[i] if alive_p[q]), key=pkey)
-        _select_and_clean(g, i, selected, push_p, push_x, positive)
+            # adjacency lists ascend, so min keeps the lowest vertex on ties
+            u = min((q for q in g.adj_plus[u] if alive[q]), key=key.__getitem__)
+        _select_and_clean(g, u, selected, push_p, push_x, positive)
     return DesignResult(tuple(selected), fingerprint=instance.fingerprint,
                         pruned_empty=g.pruned_empty)

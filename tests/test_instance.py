@@ -88,14 +88,17 @@ def test_parse_reports_line_numbers():
         parse_instance_text("0\t.\tACNT\tA\n")
     with pytest.raises(InstanceFormatError, match="line 1"):
         parse_instance_text("0\t?\tACGT\tA\n")
+    with pytest.raises(InstanceFormatError, match="line 2: .*expected pool id 1, got 2"):
+        parse_instance_text("0\t.\tACGT\tA\n2\t.\tCCCC\tA\n")
 
 
 def test_parse_requires_dense_ids():
-    text = "0\t.\tACGT\tA\n2\t.\tCCCC\tA\n"
-    with pytest.raises(InstanceFormatError, match="dense"):
+    # the first line of the first pool out of sequence is reported
+    text = "3\t.\tACGT\tA\n0\t.\tACGT\tA\n# gap\n2\t+\tCCCC\tA\n2\t-\tGGGG\tA\n"
+    with pytest.raises(InstanceFormatError, match="line 4: .*dense.*expected pool id 1, got 2"):
         parse_instance_text(text)
-    pools = parse_instance_text(text, require_dense=False)
-    assert [pl.id for pl in pools] == [0, 2]
+    pools = parse_instance_text(text.replace("3\t", "1\t"))
+    assert [pl.id for pl in pools] == [0, 1, 2]
 
 
 def test_fingerprint_is_stable_and_order_independent():
@@ -118,14 +121,21 @@ def test_graph_structure_single_extension():
     g = build_graph(inst)
     assert g.n_primers == 2
     assert g.probe_ids == [1, 6, 11, 12]
-    # primer 0: N+ = probes 6,11 -> vertices 1,2; N- = probe 1 -> vertex 0
-    assert g.pn_plus[0] == (1, 2)
-    assert g.pn_minus[0] == (0,)
-    assert g.dp_plus[0] + g.dp_minus[0] == 3
-    # probe CG (id 6, vertex 1) is reached unextended by both primers
-    assert g.xn_plus[1] == [0, 1]
-    assert g.dx_plus[1] == 2
-    assert g.dx_plus[1] + g.dx_minus[1] == 2
+    # probes follow the primers: ids 1, 6, 11, 12 are vertices 2..5
+    # primer 0: N+ = probes 6,11 -> vertices 3,4; N- = probe 1 -> vertex 2
+    assert g.adj_plus[0] == (3, 4)
+    assert g.adj_minus[0] == (2,)
+    assert (g.d_plus[0], g.d_total[0]) == (2, 3)
+    # primer 1: N+ = probes 1,6 -> vertices 2,3; N- = probe 12 -> vertex 5
+    assert g.pn_plus == [(3, 4), (2, 3)]
+    assert g.pn_minus == [(2,), (5,)]
+    # probe CG (id 6, vertex 3) is reached unextended by both primers
+    assert g.adj_plus[3] == [0, 1]
+    assert (g.d_plus[3], g.d_total[3]) == (2, 2)
+    # probe AC (id 1, vertex 2): unextended by primer 1, extended by primer 0
+    assert (g.adj_plus[2], g.adj_minus[2]) == ([1], [0])
+    assert (g.d_plus[2], g.d_total[2]) == (1, 2)
+    assert bytes(g.alive) == b"\x01" * 6
     assert g.live_primers == 2
     assert g.pruned_empty == 0
 
@@ -140,13 +150,14 @@ def test_graph_prunes_empty_spectrum_primers():
     inst = ProblemInstance(pools, KmerSpace(3), 1)
     g = build_graph(inst)
     assert g.pruned_empty == 1
-    assert g.alive_p[0] == 0
-    assert g.alive_p[1] == 1
+    assert g.alive[0] == 0
+    assert g.alive[1] == 1
     assert g.live_primers == 1
     # the pruned primer contributes no edges at all
-    assert g.pn_plus[0] == ()
-    assert g.pn_minus[0] == ()
-    assert g.dp_plus[0] + g.dp_minus[0] == 0
+    assert g.adj_plus[0] == ()
+    assert g.adj_minus[0] == ()
+    assert (g.d_plus[0], g.d_total[0]) == (0, 0)
+    assert all(0 not in g.adj_plus[v] + g.adj_minus[v] for v in range(2, len(g.alive)))
 
 
 def test_graph_is_deterministic():
@@ -156,7 +167,6 @@ def test_graph_is_deterministic():
     g1 = build_graph(inst)
     g2 = build_graph(inst)
     assert g1.probe_ids == g2.probe_ids
-    assert g1.pn_plus == g2.pn_plus
-    assert g1.pn_minus == g2.pn_minus
-    assert g1.xn_plus == g2.xn_plus
-    assert g1.xn_minus == g2.xn_minus
+    assert g1.adj_plus == g2.adj_plus
+    assert g1.adj_minus == g2.adj_minus
+    assert (g1.d_plus, g1.d_total) == (g2.d_plus, g2.d_total)

@@ -8,7 +8,6 @@ from snpmux.partition import (
     PartitionReport,
     coverage_curve,
     partition,
-    _singleton_result,
 )
 from snpmux.probespace import KmerSpace
 from snpmux.solvers import SolverConfig, solve
@@ -121,19 +120,6 @@ def test_sub_instance_keeps_original_ids():
         sub.pool_by_id(1)
     with pytest.raises(KeyError):
         sub.pool_by_id(3)
-
-
-def test_singleton_result_picks_first_adequate_primer():
-    space = KmerSpace(2)
-    pool = Pool(0, (
-        Primer("AC", "G", "+", 0),  # spectrum {GT}: too small for r=2
-        Primer("ACGT", "A", "-", 0),  # spectrum {AC, CG, GT}
-    ))
-    entry = _singleton_result(pool, space, 2).selected[0]
-    assert entry.primer_index == 1
-    assert len(entry.witnesses) == 2
-    with pytest.raises(AssertionError):
-        _singleton_result(Pool(1, (Primer("AC", "G", ".", 1),)), space, 2)
 
 
 def test_report_fraction_edge_cases():

@@ -13,8 +13,8 @@ from snpmux.solvers import (
     ALGORITHMS,
     DEGREE_MODES,
     SolverConfig,
-    remove_primer,
-    remove_probe,
+    _cascade,
+    _initial_prune,
     sequential_greedy,
     solve,
 )
@@ -158,34 +158,39 @@ def _conflict_graph():
     return build_graph(_instance(pools))
 
 
+def _probe_vertex(g, probe_id):
+    return g.n_primers + g.probe_ids.index(probe_id)
+
+
 def test_remove_primer_cascades_to_orphan_probes():
     g = _conflict_graph()
     # probe ids [1, 6, 11, 12]: removing primer 0 orphans probe 11
-    remove_primer(g, 0)
-    assert g.alive_p[0] == 0
+    _cascade(g, [0])
+    assert g.alive[0] == 0
     assert g.live_primers == 1
-    v11 = g.probe_ids.index(11)
-    assert g.alive_x[v11] == 0
-    v6 = g.probe_ids.index(6)
-    assert g.alive_x[v6] == 1
-    assert g.dx_plus[v6] == 1
-    with pytest.raises(ValueError):
-        remove_primer(g, 0)
+    v11 = _probe_vertex(g, 11)
+    assert g.alive[v11] == 0
+    v6 = _probe_vertex(g, 6)
+    assert g.alive[v6] == 1
+    assert g.d_plus[v6] == 1
+    # dead vertices on the stack are skipped
+    _cascade(g, [0, v11])
+    assert g.live_primers == 1
+    assert g.d_plus[v6] == 1
 
 
 def test_remove_probe_cascades_to_starved_primers():
     g = _conflict_graph()
-    v6 = g.probe_ids.index(6)
-    v11 = g.probe_ids.index(11)
-    remove_probe(g, v6)
+    v6 = _probe_vertex(g, 6)
+    v11 = _probe_vertex(g, 11)
+    _cascade(g, [v6])
     # primer 1 kept probe 1, primer 0 kept probe 11: both still live
     assert g.live_primers == 2
-    remove_probe(g, v11)
+    _cascade(g, [v11])
     # primer 0 drops below r=1 and dies; its minus-side edge goes too
-    assert g.alive_p[0] == 0
+    assert g.alive[0] == 0
     assert g.live_primers == 1
-    with pytest.raises(ValueError):
-        remove_probe(g, v11)
+    assert g.d_total[_probe_vertex(g, 1)] == 1
 
 
 def test_removal_order_does_not_matter():
@@ -194,18 +199,60 @@ def test_removal_order_does_not_matter():
         inst = _random_instance(rng, 8, 2, 1)
         g1 = build_graph(inst)
         g2 = build_graph(inst)
-        live_probes = [v for v in range(g1.n_probes) if g1.alive_x[v]]
+        n = g1.n_primers
+        live_probes = [v for v in range(n, n + g1.n_probes) if g1.alive[v]]
         picks = rng.sample(live_probes, min(3, len(live_probes)))
         for v in picks:
-            if g1.alive_x[v]:
-                remove_probe(g1, v)
+            _cascade(g1, [v])
         for v in reversed(picks):
-            if g2.alive_x[v]:
-                remove_probe(g2, v)
-        assert bytes(g1.alive_p) == bytes(g2.alive_p)
-        assert bytes(g1.alive_x) == bytes(g2.alive_x)
-        assert g1.dp_plus == g2.dp_plus
-        assert g1.dx_plus == g2.dx_plus
+            _cascade(g2, [v])
+        assert bytes(g1.alive) == bytes(g2.alive)
+        # a dead vertex's counters stop at whatever its deletion left
+        live = [u for u in range(len(g1.alive)) if g1.alive[u]]
+        assert [(g1.d_plus[u], g1.d_total[u]) for u in live] == [
+            (g2.d_plus[u], g2.d_total[u]) for u in live]
+
+
+def _assert_degrees_recount(g):
+    n, alive = g.n_primers, g.alive
+    for u in range(len(alive)):
+        if alive[u]:
+            plus = sum(alive[w] for w in g.adj_plus[u])
+            minus = sum(alive[w] for w in g.adj_minus[u])
+            assert (g.d_plus[u], g.d_total[u]) == (plus, plus + minus), u
+            assert plus >= (g.r if u < n else 1), u
+    assert g.live_primers == sum(alive[:n])
+
+
+def test_cascade_keeps_degrees_equal_to_a_recount():
+    rng = random.Random(67)
+    for trial in range(40):
+        r = 1 + trial % 2
+        positive = trial % 4 >= 2
+        g = build_graph(_random_instance(rng, 12, 3, r))
+        _initial_prune(g)
+        _assert_degrees_recount(g)
+        n, key = g.n_primers, (g.d_plus if positive else g.d_total)
+        pushed = set()
+
+        def recorder(primer_side):
+            def push(w):
+                assert (w < n) == primer_side and g.alive[w]
+                pushed.add((w, key[w]))
+            return push
+
+        for _ in range(5):
+            live = [u for u in range(len(g.alive)) if g.alive[u]]
+            if not live:
+                break
+            before = list(key)
+            pushed.clear()
+            _cascade(g, [rng.choice(live)], recorder(True), recorder(False), positive)
+            _assert_degrees_recount(g)
+            # every live vertex whose key dropped was pushed with its new key
+            for u in live:
+                if g.alive[u] and key[u] != before[u]:
+                    assert (u, key[u]) in pushed, (trial, u)
 
 
 # sha256 of "\n".join(result.to_lines()) for 400 pools x 2 primers of
