@@ -19,7 +19,14 @@ from . import __version__
 from .datasets import EXTENSION_MODES, RandomSpec, generate_random, load_snp_table
 from .decodability import parse_design_lines, DesignResult, verify_design
 from .dnaseq import SequenceError
-from .instance import InstanceFormatError, ProblemInstance, fingerprint, format_instance_text, parse_instance_text
+from .instance import (
+    InstanceFormatError,
+    ProblemInstance,
+    fingerprint,
+    format_instance_text,
+    open_text,
+    parse_instance_text,
+)
 from .oracles import BipartiteGraph, reduce_matching_to_design
 from .partition import coverage_curve, partition
 from .probespace import ConfigError, make_space
@@ -50,16 +57,16 @@ def _write(path, lines):
 
 
 def _load_instance(path, space, redundancy):
-    with open(path) as fh:
+    with open_text(path) as fh:
         pools = parse_instance_text(fh.read())
     return ProblemInstance(pools, space, redundancy)
 
 
 def _read_design(path):
-    with open(path) as fh:
+    with open_text(path) as fh:
         text = fh.read()
     manifest = {}
-    for line in text.splitlines():
+    for line in text.split("\n"):
         line = line.strip()
         if line.startswith("#") and "=" in line:
             key, _, value = line[1:].strip().partition("=")
@@ -209,7 +216,7 @@ def cmd_verify(args, argv):
 
 def cmd_reduce(args, argv):
     edges = []
-    with open(args.infile) as fh:
+    with open_text(args.infile) as fh:
         for line_no, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):

@@ -21,7 +21,7 @@ import logging
 from dataclasses import dataclass
 
 from .dnaseq import BASES, SequenceError, complement, is_degenerate, normalize, reverse_complement
-from .instance import InstanceFormatError, Pool, Primer
+from .instance import InstanceFormatError, Pool, Primer, open_text
 
 logger = logging.getLogger(__name__)
 
@@ -155,7 +155,7 @@ def load_snp_table(path, primer_length):
     pools = []
     skipped = []
     first_data = True
-    with open(path) as fh:
+    with open_text(path) as fh:
         for line_no, raw in enumerate(fh, start=1):
             line = raw.rstrip("\n")
             if not line.strip() or line.lstrip().startswith("#"):

@@ -73,7 +73,7 @@ class DesignResult:
 def parse_design_lines(text):
     """Parse DesignResult data lines; '#' comments and blanks are skipped."""
     entries = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    for line_no, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

@@ -12,7 +12,6 @@ BASE_CODE = {"A": 0, "C": 1, "G": 2, "T": 3}
 
 _COMP = {"A": "T", "T": "A", "C": "G", "G": "C"}
 _COMP_TABLE = str.maketrans("ACGT", "TGCA")
-_WEIGHT = {"A": 1, "T": 1, "C": 2, "G": 2}
 
 # IUPAC nucleotide codes (DNA): the four bases plus ambiguity codes
 IUPAC = frozenset("ACGTRYSWKMBDHVN")
@@ -70,19 +69,13 @@ def normalize(text, *, what="sequence", allow_degenerate=False):
     return seq
 
 
-def pack_value(seq):
-    """Base-4 integer reading of seq, most significant base first.
-
-    pack_value("AC") == 1, pack_value("GT") == 11. Defines k-mer probe ids.
-    """
-    v = 0
-    for c in seq:
-        v = (v << 2) | BASE_CODE[c]
-    return v
-
-
 def unpack_value(value, length):
-    """Inverse of pack_value for a known sequence length."""
+    """The length-base sequence whose base-4 reading is value, most
+    significant base first; bits above 2*length are ignored.
+
+    unpack_value(1, 2) == "AC", unpack_value(11, 2) == "GT". Defines k-mer
+    probe ids.
+    """
     out = []
     for shift in range(2 * (length - 1), -1, -2):
         out.append(BASES[(value >> shift) & 3])

@@ -23,6 +23,7 @@ Pool ids must be dense 0..n-1.
 """
 
 import bisect
+import contextlib
 import hashlib
 import logging
 from dataclasses import dataclass
@@ -43,6 +44,30 @@ class InstanceFormatError(ValueError):
             message = "line %d: %s" % (line_no, message)
         super().__init__(message)
         self.line_no = line_no
+
+
+@contextlib.contextmanager
+def open_text(path):
+    """Open a text file for reading; a byte that does not decode raises
+    InstanceFormatError naming the 1-based line it sits on.
+
+    Only the error path re-reads the file, so valid input pays nothing.
+    """
+    try:
+        with open(path) as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        with open(path, "rb") as fh:
+            data = fh.read()
+        try:  # a streaming read reports positions within its chunk
+            data.decode(exc.encoding)
+        except UnicodeDecodeError as whole:
+            exc = whole
+        head = data[: exc.start].decode(exc.encoding).replace("\r\n", "\n")
+        raise InstanceFormatError(
+            "cannot decode byte 0x%02x as %s: %s" % (data[exc.start], exc.encoding, exc.reason),
+            head.count("\n") + head.count("\r") + 1,
+        ) from None
 
 
 @dataclass(frozen=True)
@@ -151,7 +176,7 @@ def parse_instance_text(text):
     Raises InstanceFormatError with a line number on malformed input.
     """
     by_pool = {}
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    for line_no, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

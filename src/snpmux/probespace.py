@@ -15,18 +15,17 @@ The spectrum of a target y is the set of probes that are exact
 Watson-Crick complements of substrings of y, i.e. perfect hybridization
 with no mismatches. The extended spectrum of a primer additionally
 includes probes gained by appending any of its extension bases.
+
+Every space splits a primer's probes the same way, in
+``ProbeSpace.primer_adjacency``: the spectrum of the primer, and the
+probes of the windows that end at an appended base less that spectrum.
+A space only says which probes those end windows hit.
 """
 
+import functools
 import logging
 
-from .dnaseq import (
-    BASE_CODE,
-    normalize,
-    pack_value,
-    reverse_complement,
-    unpack_value,
-    weight,
-)
+from .dnaseq import BASE_CODE, normalize, reverse_complement, unpack_value, weight
 
 logger = logging.getLogger(__name__)
 
@@ -34,6 +33,7 @@ KMER_MIN, KMER_MAX = 1, 16
 CTOKEN_MIN, CTOKEN_MAX = 2, 20
 
 _BASE_WEIGHT = (1, 2, 2, 1)  # indexed by base code A,C,G,T
+_COMP_DIGIT = str.maketrans("ACGT", "3210")  # base -> code of its complement
 
 
 class ConfigError(ValueError):
@@ -89,11 +89,19 @@ class ProbeSpace:
         extended products. The two are disjoint by construction.
         """
         nplus = self.spectrum(p)
-        nminus = set()
-        for e in extensions:
-            nminus.update(self.spectrum(p + e))
-        nminus -= nplus
+        nminus = self._extension_ids(p, extensions) - nplus
         return tuple(sorted(nplus)), tuple(sorted(nminus))
+
+    def _extension_ids(self, p, extensions):
+        """Probe ids of the windows of p + e that end at an appended base e.
+
+        Any superset that adds only ids from spectrum(p) will do; this
+        default takes the whole spectrum of every extended product.
+        """
+        out = set()
+        for e in extensions:
+            out |= self.spectrum(p + e)
+        return out
 
 
 class KmerSpace(ProbeSpace):
@@ -131,77 +139,64 @@ class KmerSpace(ProbeSpace):
             add(val)
         return out
 
-    def primer_adjacency(self, p, extensions):
-        nplus = self.spectrum(p)
-        nminus = set()
+    def _extension_ids(self, p, extensions):
+        # The one window ending at e is the (k-1)-tail of p plus e; its id
+        # reads comp(e) and then the tail's complement from the 3' end.
         k = self.k
-        if len(p) >= k - 1:
-            tail = p[len(p) - k + 1 :]
-            code = BASE_CODE
-            base = 0
-            for t, ch in enumerate(tail):
-                base |= (3 - code[ch]) << (2 * t)
-            top = 2 * (k - 1)
-            for e in extensions:
-                pid = base | ((3 - code[e]) << top)
-                if pid not in nplus:
-                    nminus.add(pid)
-        return tuple(sorted(nplus)), tuple(sorted(nminus))
+        if len(p) < k - 1:
+            return set()
+        tail = int("0" + p[len(p) - k + 1 :][::-1].translate(_COMP_DIGIT), 4)
+        top = 2 * (k - 1)
+        code = BASE_CODE
+        return {tail | ((3 - code[e]) << top) for e in extensions}
 
 
 class CTokenSpace(ProbeSpace):
     """All c-tokens; id = rank in lexicographic order.
 
-    The size comes from the counting recurrence immediately; the explicit
-    roster and rank index are built lazily on first sequence-level access
-    and checked against the recurrence.
+    The size comes from the counting recurrence immediately. The rank
+    index, packed key (1 << 2*len) | base-4 value -> rank, is built on
+    first use by one lexicographic walk and checked against the
+    recurrence: a token is a base b followed by any string u with
+    c - w(b) <= w(u) < c, so growing u rightward in preorder, children in
+    A, C, G, T order, meets the tokens in sorted order.
     """
 
     def __init__(self, c):
         self.c = c
         self.size = count_ctokens(c)
         self.descriptor = "ctoken:%d" % c
-        self._roster = None  # rank -> token string
-        self._index = None  # packed key -> rank
 
-    def _packed(self, seq):
-        return (1 << (2 * len(seq))) | pack_value(seq)
-
-    def _ensure_index(self):
-        if self._index is not None:
-            return
+    @functools.cached_property
+    def _index(self):
         c = self.c
-        tokens = []
-        emit = tokens.append
-        # Grow suffixes leftward: a suffix of weight < c prepended with a
-        # base either completes a token (weight >= c) or stays extendable.
-        stack = [("", 0)]
+        index = {}
+        # (packed key of b + u, weight of b + u, weight of u); popped in
+        # preorder, so pushed in reverse base order
+        stack = [(4 | b, _BASE_WEIGHT[b], 0) for b in (3, 2, 1, 0)]
+        children = [(b, _BASE_WEIGHT[b]) for b in (3, 2, 1, 0)]
         while stack:
-            suffix, w = stack.pop()
-            for b, bw in (("A", 1), ("C", 2), ("G", 2), ("T", 1)):
-                if w + bw >= c:
-                    emit(b + suffix)
-                else:
-                    stack.append((b + suffix, w + bw))
-        tokens.sort()
-        if len(tokens) != self.size:
+            key, w, wu = stack.pop()
+            if w >= c:
+                index[key] = len(index)
+            for b, bw in children:
+                if wu + bw < c:
+                    stack.append(((key << 2) | b, w + bw, wu + bw))
+        if len(index) != self.size:
             raise AssertionError(
                 "token enumeration (%d) disagrees with recurrence (%d) for c=%d"
-                % (len(tokens), self.size, c)
+                % (len(index), self.size, c)
             )
-        self._roster = tokens
-        self._index = {self._packed(t): rank for rank, t in enumerate(tokens)}
+        return index
 
     def probes(self):
-        self._ensure_index()
-        return iter(self._roster)
+        return (unpack_value(key, key.bit_length() // 2) for key in self._index)
 
     def spectrum(self, y):
         # For each window start, the shortest window reaching weight >= c is
         # the only one whose reverse complement can be a token (longer
         # windows have a heavy proper prefix, i.e. a heavy suffix of the
         # complement). Two pointers keep this linear.
-        self._ensure_index()
         c = self.c
         n = len(y)
         code = BASE_CODE
@@ -226,16 +221,12 @@ class CTokenSpace(ProbeSpace):
             val >>= 2
         return out
 
-    def primer_adjacency(self, p, extensions):
-        self._ensure_index()
-        nplus = self.spectrum(p)
-        nminus = set()
+    def _extension_ids(self, p, extensions):
+        # A window ending at e is a suffix p[i:] weighing under c that e
+        # lifts to c or more; the empty suffix covers e alone (c <= 2).
         c = self.c
         code = BASE_CODE
-        index = self._index
-        # New windows from an extension all end at the appended base: the
-        # suffix y[i:] must weigh under c and reach >= c with the extension.
-        suffixes = []  # (suffix weight, packed complement of y[i:], length)
+        suffixes = [(0, 0, 0)]  # (weight, packed complement of p[i:], length)
         acc = 0
         val = 0
         for i in range(len(p) - 1, -1, -1):
@@ -245,20 +236,15 @@ class CTokenSpace(ProbeSpace):
                 break
             val = (val << 2) | (3 - b)
             suffixes.append((acc, val, len(p) - i))
+        index = self._index
+        out = set()
         for e in extensions:
             ew = _BASE_WEIGHT[code[e]]
             etop = 3 - code[e]
-            if ew >= c:  # single-base token, only for c <= 2
-                rank = index.get((1 << 2) | etop)
-                if rank is not None and rank not in nplus:
-                    nminus.add(rank)
             for w, sval, slen in suffixes:
                 if w + ew >= c:
-                    key = (1 << (2 * (slen + 1))) | (etop << (2 * slen)) | sval
-                    rank = index.get(key)
-                    if rank is not None and rank not in nplus:
-                        nminus.add(rank)
-        return tuple(sorted(nplus)), tuple(sorted(nminus))
+                    out.add(index[(1 << (2 * (slen + 1))) | (etop << (2 * slen)) | sval])
+        return out
 
 
 class ExplicitSpace(ProbeSpace):

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -100,7 +102,7 @@ def test_verify_needs_probe_space(tmp_path):
     assert code in (0, 1)  # depends on whether probe 3 really witnesses pool 0
 
 
-def test_exit_codes_for_bad_input(tmp_path):
+def test_exit_codes_for_bad_input(tmp_path, capsys):
     # unknown probe descriptor
     inst = tmp_path / "inst.txt"
     main(["gen", "--pools", "2", "--primer-length", "6", "--seed", "1", "--out", str(inst)])
@@ -117,6 +119,24 @@ def test_exit_codes_for_bad_input(tmp_path):
     # argparse rejects unknown algorithms with a usage error
     with pytest.raises(SystemExit):
         main(["solve", "--in", str(inst), "--probes", "kmer:3", "--algorithm", "wat"])
+    # a byte that is not UTF-8 is reported with its line, in every reader
+    capsys.readouterr()
+    bad.write_bytes(b"0\t.\tACGT\tA\n1\t.\tAC\xffT\tA\n")
+    assert main(["solve", "--in", str(bad), "--probes", "kmer:3"]) == 2
+    assert capsys.readouterr().err == (
+        "snpmux: error: line 2: cannot decode byte 0xff as utf-8: invalid start byte\n")
+    table = tmp_path / "snps.tsv"
+    table.write_bytes(b"rs1\tACGTACGTAC\tAG\tTTTTGGGGCC\r\nrs2\tAC\xc3GT\tCT\tGGGG\n")
+    assert main(["ingest", "--in", str(table), "--primer-length", "4"]) == 2
+    assert capsys.readouterr().err.startswith("snpmux: error: line 2: cannot decode byte 0xc3")
+    design = tmp_path / "design.txt"
+    design.write_bytes(b"# probes=kmer:3\r# redundancy=1\r\xfe\n")
+    assert main(["verify", "--in", str(design), "--instance", str(inst)]) == 2
+    assert capsys.readouterr().err.startswith("snpmux: error: line 3: cannot decode byte 0xfe")
+    edges = tmp_path / "edges.tsv"
+    edges.write_bytes(b"0\t1\n" * 5000 + b"1\t\x80\n")
+    assert main(["reduce", "--in", str(edges), "--probes-out", str(tmp_path / "p.txt")]) == 2
+    assert capsys.readouterr().err.startswith("snpmux: error: line 5001: cannot decode byte 0x80")
 
 
 _SMALL_INT = st.integers(-1, 8).map(str)
@@ -147,6 +167,68 @@ def test_verify_never_raises_on_arbitrary_design_text(tmp_path, lines, override)
     if override:
         argv += ["--probes", "kmer:3", "--redundancy", "1"]
     assert main(argv) in (0, 1, 2)
+
+
+def _line_count(data):
+    """Lines of data as a universal-newline reader sees them."""
+    lines = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n").split(b"\n")
+    return len(lines) - (lines[-1] == b"")
+
+
+def _assert_clean_exit(code, err, data):
+    """Exit 0, or exit 2 with exactly one error line that names a line of data."""
+    assert code in (0, 2)
+    if code == 2:
+        match = re.fullmatch(r"snpmux: error: line (\d+): [^\n]*\n", err)
+        assert match, err
+        assert 1 <= int(match.group(1)) <= _line_count(data)
+
+
+_FIELD = st.one_of(
+    st.text(max_size=6),
+    st.text("ACGTNacgt", max_size=12),
+    st.sampled_from(["0", "1", "2", "-1", "+", "-", ".", "AG", "ACGT", "x"]),
+)
+_PRIMER_LINE = st.tuples(
+    st.sampled_from(["0", "1", "2"]), st.sampled_from(["+", "-", "."]),
+    st.text("ACGT", min_size=1, max_size=12), st.sampled_from(["A", "AG", "ACGT"]),
+).map("\t".join)
+_LINE = st.one_of(st.text(max_size=20), st.lists(_FIELD, min_size=1, max_size=5).map("\t".join),
+                  _PRIMER_LINE)
+# "\n" half the time; the rest are the other line breaks of str.splitlines
+_SEPARATOR = st.one_of(st.just("\n"), st.sampled_from(
+    ["\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]))
+_TEXT_BYTES = st.one_of(
+    st.lists(st.tuples(_LINE, _SEPARATOR), max_size=8),
+    st.lists(st.tuples(_PRIMER_LINE, st.just("\n")), max_size=8),
+).map(lambda parts: "".join(a + b for a, b in parts).encode("utf-8"))
+_DATA = st.one_of(_TEXT_BYTES, st.binary(max_size=60),
+                  st.tuples(_TEXT_BYTES, st.binary(min_size=1, max_size=3), _TEXT_BYTES)
+                  .map(b"".join))
+
+
+@settings(max_examples=150, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=_DATA)
+def test_solve_exits_cleanly_on_arbitrary_instance_bytes(tmp_path, capsys, data):
+    inst = tmp_path / "inst.txt"
+    inst.write_bytes(data)
+    capsys.readouterr()
+    code = main(["solve", "--in", str(inst), "--probes", "kmer:3",
+                 "--out", str(tmp_path / "design.txt")])
+    _assert_clean_exit(code, capsys.readouterr().err, data)
+
+
+@settings(max_examples=150, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=_DATA)
+def test_ingest_exits_cleanly_on_arbitrary_snp_table_bytes(tmp_path, capsys, data):
+    table = tmp_path / "snps.tsv"
+    table.write_bytes(data)
+    capsys.readouterr()
+    code = main(["ingest", "--in", str(table), "--primer-length", "3",
+                 "--skipped", str(tmp_path / "skipped.txt"), "--out", str(tmp_path / "inst.txt")])
+    _assert_clean_exit(code, capsys.readouterr().err, data)
 
 
 def test_partition_report_structure(tmp_path):

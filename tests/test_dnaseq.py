@@ -7,7 +7,6 @@ from snpmux.dnaseq import (
     complement,
     is_degenerate,
     normalize,
-    pack_value,
     reverse_complement,
     unpack_value,
     weight,
@@ -80,19 +79,19 @@ def test_encode_decode_roundtrip():
     assert "".join(BASES[BASE_CODE[c]] for c in "GGATTC") == "GGATTC"
 
 
-def test_pack_value_base4_msb_first():
-    assert pack_value("A") == 0
-    assert pack_value("AC") == 1
-    assert pack_value("GT") == 11
-    assert pack_value("TT") == 15
-    assert pack_value("AAA") == 0
+def test_unpack_value_base4_msb_first():
+    assert unpack_value(0, 1) == "A"
+    assert unpack_value(1, 2) == "AC"
+    assert unpack_value(11, 2) == "GT"
+    assert unpack_value(15, 2) == "TT"
+    assert unpack_value(0, 3) == "AAA"
+    # a c-token index key carries a 1 above its bases, which is ignored
+    assert unpack_value((1 << 4) | 11, 2) == "GT"
 
 
-def test_unpack_value_roundtrip():
-    import random
-
-    rng = random.Random(3)
-    for _ in range(60):
-        n = rng.randint(1, 12)
-        seq = "".join(rng.choice("ACGT") for _ in range(n))
-        assert unpack_value(pack_value(seq), n) == seq
+def test_unpack_value_enumerates_every_sequence_in_order():
+    for n in range(1, 5):
+        seqs = [unpack_value(v, n) for v in range(4 ** n)]
+        assert all(len(s) == n for s in seqs)
+        assert len(set(seqs)) == 4 ** n
+        assert seqs == sorted(seqs)

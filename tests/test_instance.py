@@ -90,6 +90,9 @@ def test_parse_reports_line_numbers():
         parse_instance_text("0\t?\tACGT\tA\n")
     with pytest.raises(InstanceFormatError, match="line 2: .*expected pool id 1, got 2"):
         parse_instance_text("0\t.\tACGT\tA\n2\t.\tCCCC\tA\n")
+    # only "\n" ends a line: a form feed inside a comment is comment text
+    with pytest.raises(InstanceFormatError, match="line 3: .*invalid character 'Q'"):
+        parse_instance_text("0\t.\tACGT\tA\n# note\x0cwith a form feed\n1\t.\tACQT\tA\n")
 
 
 def test_parse_requires_dense_ids():

@@ -6,6 +6,7 @@ and the larger checks compare the rolling/two-pointer implementations
 against a naive window scan written independently below.
 """
 
+import hashlib
 import random
 
 import pytest
@@ -83,23 +84,6 @@ def test_kmer_adjacency_splits_plus_and_minus():
     assert not set(nplus) & set(nminus)
 
 
-def test_kmer_adjacency_matches_naive_on_random_primers():
-    rng = random.Random(5)
-    for k in (2, 3):
-        space = KmerSpace(k)
-        roster = list(space.probes())
-        for _ in range(40):
-            primer = "".join(rng.choice("ACGT") for _ in range(rng.randint(k, 10)))
-            exts = "".join(sorted(rng.sample("ACGT", rng.randint(1, 4))))
-            nplus, nminus = space.primer_adjacency(primer, exts)
-            spec = _naive_spectrum(roster, primer)
-            ext_spec = set()
-            for e in exts:
-                ext_spec |= _naive_spectrum(roster, primer + e)
-            assert set(nplus) == spec
-            assert set(nminus) == ext_spec - spec
-
-
 def test_kmer_bounds():
     with pytest.raises(ConfigError):
         KmerSpace(0)
@@ -171,21 +155,34 @@ def test_ctoken_spectrum_matches_naive_scan():
             assert space.spectrum(target) == _naive_spectrum(roster, target)
 
 
-def test_ctoken_adjacency_matches_naive():
+@pytest.mark.parametrize("space", [
+    KmerSpace(1), KmerSpace(2), KmerSpace(3), KmerSpace(4),
+    CTokenSpace(2), CTokenSpace(3), CTokenSpace(4), CTokenSpace(5),
+    ExplicitSpace(["T", "GA", "CCA", "ACGT", "TTG", "GG", "CATG"]),
+], ids=lambda space: space.descriptor)
+def test_adjacency_matches_naive(space):
     rng = random.Random(29)
-    for c in (2, 3, 4):
-        space = CTokenSpace(c)
-        roster = list(space.probes())
-        for _ in range(40):
-            primer = "".join(rng.choice("ACGT") for _ in range(rng.randint(1, 10)))
-            exts = "".join(sorted(rng.sample("ACGT", rng.randint(1, 4))))
-            nplus, nminus = space.primer_adjacency(primer, exts)
-            spec = _naive_spectrum(roster, primer)
-            ext_spec = set()
-            for e in exts:
-                ext_spec |= _naive_spectrum(roster, primer + e)
-            assert set(nplus) == spec, primer
-            assert set(nminus) == ext_spec - spec, primer
+    roster = list(space.probes())
+    # lengths from 1 reach primers shorter than a whole window
+    for _ in range(60):
+        primer = "".join(rng.choice("ACGT") for _ in range(rng.randint(1, 10)))
+        exts = "".join(sorted(rng.sample("ACGT", rng.randint(1, 4))))
+        nplus, nminus = space.primer_adjacency(primer, exts)
+        spec = _naive_spectrum(roster, primer)
+        ext_spec = set()
+        for e in exts:
+            ext_spec |= _naive_spectrum(roster, primer + e)
+        assert nplus == tuple(sorted(spec)), primer
+        assert nminus == tuple(sorted(ext_spec - spec)), primer
+
+
+@pytest.mark.parametrize("c, digest", [
+    (9, "bc205fff52276947e0914f3946a92b831ba329fe3d02ecfa851ae2f071c06829"),
+    (11, "ecc493f886a69e6b6fa6a447e7c503a52a34d6764e1d10174d3c694cc14c2968"),
+], ids=["ctoken:9", "ctoken:11"])
+def test_ctoken_roster_matches_pinned_hash(c, digest):
+    roster = "\n".join(CTokenSpace(c).probes())
+    assert hashlib.sha256(roster.encode()).hexdigest() == digest
 
 
 def test_explicit_space():
