@@ -17,7 +17,13 @@ import time
 
 from . import __version__
 from .datasets import EXTENSION_MODES, RandomSpec, generate_random, load_snp_table
-from .decodability import parse_design_lines, DesignResult, verify_design
+from .decodability import (
+    KIND_STRUCTURE,
+    DesignResult,
+    Violation,
+    parse_design_lines,
+    verify_design,
+)
 from .dnaseq import SequenceError
 from .instance import (
     InstanceFormatError,
@@ -200,6 +206,7 @@ def cmd_verify(args, argv):
     instance = _load_instance(args.instance, space, int(redundancy))
     result = DesignResult(tuple(entries), fingerprint=manifest.get("instance_sha256"))
     report = verify_design(result, instance)
+    report.violations.extend(_manifest_violations(manifest, len(entries), instance.n_pools))
     lines = _manifest("verify", argv, [
         ("probes", space.descriptor),
         ("redundancy", redundancy),
@@ -209,9 +216,25 @@ def cmd_verify(args, argv):
     ])
     lines.extend(v.to_line() for v in report.violations)
     _write(args.out, lines)
+    if not result.fingerprint:
+        print("verify: note: the report has no instance_sha256; fingerprint check skipped",
+              file=sys.stderr)
     print("verify: %d pool(s), %d violation(s)"
           % (report.checked_pools, len(report.violations)), file=sys.stderr)
     return 0 if report.ok else 1
+
+
+def _manifest_violations(manifest, n_entries, n_pools):
+    """Structure violations for manifest counts that the report body or
+    the instance contradict; a report that states no count passes."""
+    out = []
+    for key, actual, what in (("selected", n_entries, "the body has %d entries"),
+                              ("pools", n_pools, "the instance has %d pools")):
+        stated = manifest.get(key)
+        if stated is not None and stated != str(actual):
+            out.append(Violation(-1, KIND_STRUCTURE,
+                                 "manifest states %s=%r but %s" % (key, stated, what % actual)))
+    return out
 
 
 def cmd_reduce(args, argv):

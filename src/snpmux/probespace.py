@@ -8,7 +8,10 @@ tests and reductions:
   sequence (A=0, C=1, G=2, T=3).
 * ``CTokenSpace(c)``: every sequence of hybridization weight at least c
   whose proper suffixes all have weight below c. Member weights are c or
-  c+1 and ids are ranks in lexicographic order.
+  c+1 and ids are ranks in lexicographic order, computed by counting from
+  the exact-weight recurrence of ``count_ctokens``. The tables behind the
+  ranks hold O(c) entries, so even ``ctoken:20`` (733M tokens) keeps no
+  structure that grows with the space.
 * ``ExplicitSpace(probes)``: a fixed probe list; ids follow list order.
 
 The spectrum of a target y is the set of probes that are exact
@@ -25,7 +28,8 @@ A space only says which probes those end windows hit.
 import functools
 import logging
 
-from .dnaseq import BASE_CODE, normalize, reverse_complement, unpack_value, weight
+from .dnaseq import BASE_CODE, SequenceError, normalize, reverse_complement, unpack_value, weight
+from .instance import InstanceFormatError, open_text
 
 logger = logging.getLogger(__name__)
 
@@ -54,17 +58,22 @@ def is_ctoken(seq, c):
 def count_ctokens(c):
     """Number of c-tokens, by recurrence over exact-weight string counts.
 
-    With N(w) strings of weight exactly w (N(0)=1, N(1)=2,
-    N(w)=2N(w-1)+2N(w-2)), a token is one base prepended to a lighter
-    string: any base onto weight c-1, or C/G onto weight c-2.
+    With N(w) strings of weight exactly w (see _weight_counts), a token is
+    one base prepended to a lighter string: any base onto weight c-1, or
+    C/G onto weight c-2.
     """
     if c < CTOKEN_MIN or c > CTOKEN_MAX:
         raise ConfigError("token weight c must be in [%d, %d], got %r" % (CTOKEN_MIN, CTOKEN_MAX, c))
-    n_prev, n_cur = 1, 2  # N(0), N(1)
-    for _ in range(2, c):
-        n_prev, n_cur = n_cur, 2 * n_cur + 2 * n_prev
-    # after the loop: n_cur = N(c-1), n_prev = N(c-2)
-    return 4 * n_cur + 2 * n_prev
+    n = _weight_counts(c)
+    return 4 * n[c - 1] + 2 * n[c - 2]
+
+
+def _weight_counts(c):
+    """[N(0), ..., N(c-1)]: N(0)=1, N(1)=2, N(w)=2N(w-1)+2N(w-2)."""
+    n = [1, 2]
+    while len(n) < c:
+        n.append(2 * n[-1] + 2 * n[-2])
+    return n[:c]
 
 
 class ProbeSpace:
@@ -152,14 +161,16 @@ class KmerSpace(ProbeSpace):
 
 
 class CTokenSpace(ProbeSpace):
-    """All c-tokens; id = rank in lexicographic order.
+    """All c-tokens; id = rank in lexicographic order, found by counting.
 
-    The size comes from the counting recurrence immediately. The rank
-    index, packed key (1 << 2*len) | base-4 value -> rank, is built on
-    first use by one lexicographic walk and checked against the
-    recurrence: a token is a base b followed by any string u with
-    c - w(b) <= w(u) < c, so growing u rightward in preorder, children in
-    A, C, G, T order, meets the tokens in sorted order.
+    A token is a base b followed by a string u with c - w(b) <= w(u) < c.
+    The tokens below b x1..xL are those that start with a base smaller
+    than b, and, for each i, those that share the prefix b x1..x(i-1) and
+    continue with a base smaller than xi, plus that prefix itself when it
+    is a token. With N(w) strings of weight exactly w, each term depends
+    only on w(b), the prefix weight and the next base. So the rank is
+    ``first[b] + sum of row[w(b)][w(x1..x(i-1)), xi]`` over tables of
+    O(c) entries, and nothing the space holds grows with its size.
     """
 
     def __init__(self, c):
@@ -168,82 +179,107 @@ class CTokenSpace(ProbeSpace):
         self.descriptor = "ctoken:%d" % c
 
     @functools.cached_property
-    def _index(self):
+    def _tables(self):
+        """(first, rows): first[b] counts the tokens that start below b;
+        rows[w0][4*x + b] counts, for a head of weight w0, the tokens that
+        share a prefix whose tail weighs x and continue below b, plus one
+        when that prefix is itself a token."""
         c = self.c
-        index = {}
-        # (packed key of b + u, weight of b + u, weight of u); popped in
-        # preorder, so pushed in reverse base order
-        stack = [(4 | b, _BASE_WEIGHT[b], 0) for b in (3, 2, 1, 0)]
-        children = [(b, _BASE_WEIGHT[b]) for b in (3, 2, 1, 0)]
-        while stack:
-            key, w, wu = stack.pop()
-            if w >= c:
-                index[key] = len(index)
-            for b, bw in children:
-                if wu + bw < c:
-                    stack.append(((key << 2) | b, w + bw, wu + bw))
-        if len(index) != self.size:
-            raise AssertionError(
-                "token enumeration (%d) disagrees with recurrence (%d) for c=%d"
-                % (len(index), self.size, c)
-            )
-        return index
+        cum = [0]  # cum[w] = N(0) + ... + N(w - 1)
+        for n in _weight_counts(c):
+            cum.append(cum[-1] + n)
+
+        def tails(lo, hi):  # strings weighing lo..hi (lo <= hi)
+            return cum[hi + 1] - cum[max(lo, 0)] if hi >= 0 else 0
+
+        first = [0]
+        for bw in _BASE_WEIGHT:
+            first.append(first[-1] + tails(c - bw, c - 1))
+        rows = [None]
+        for w0 in (1, 2):
+            row = []
+            for x in range(c):
+                below = int(w0 + x >= c)
+                for bw in _BASE_WEIGHT:
+                    row.append(below)
+                    below += tails(c - w0 - x - bw, c - 1 - x - bw)
+            rows.append(row)
+        return first, rows
 
     def probes(self):
-        return (unpack_value(key, key.bit_length() // 2) for key in self._index)
+        # Growing u rightward in preorder, children in A, C, G, T order,
+        # meets the tokens in sorted order; a stack pops in reverse, so
+        # children are pushed T first.
+        c = self.c
+        children = [(b, _BASE_WEIGHT[BASE_CODE[b]]) for b in "TGCA"]
+        stack = [(b, bw, 0) for b, bw in children]  # (b + u, weight, w(u))
+        while stack:
+            seq, w, wu = stack.pop()
+            if w >= c:
+                yield seq
+            for b, bw in children:
+                if wu + bw < c:
+                    stack.append((seq + b, w + bw, wu + bw))
 
     def spectrum(self, y):
         # For each window start, the shortest window reaching weight >= c is
         # the only one whose reverse complement can be a token (longer
         # windows have a heavy proper prefix, i.e. a heavy suffix of the
-        # complement). Two pointers keep this linear.
+        # complement), and it always is one: dropping its last base leaves
+        # weight below c. Two pointers keep the scan linear; the rank reads
+        # the window's complement from its last base back to its first.
         c = self.c
         n = len(y)
         code = BASE_CODE
         ccodes = [3 - code[ch] for ch in y]
-        weights = [_BASE_WEIGHT[code[ch]] for ch in y]
-        index = self._index
+        weights = [_BASE_WEIGHT[b] for b in ccodes]
+        first, rows = self._tables
         out = set()
         add = out.add
         acc = 0
-        val = 0
         j = 0
         for i in range(n):
             while j < n and acc < c:
-                val |= ccodes[j] << (2 * (j - i))
                 acc += weights[j]
                 j += 1
-            if acc >= c:
-                rank = index.get((1 << (2 * (j - i))) | val)
-                if rank is not None:
-                    add(rank)
+            if acc < c:
+                break  # later starts only lose weight
+            row = rows[weights[j - 1]]
+            rank = first[ccodes[j - 1]]
+            x = 0
+            for k in range(j - 2, i - 1, -1):
+                rank += row[x + ccodes[k]]
+                x += 4 * weights[k]
+            add(rank)
             acc -= weights[i]
-            val >>= 2
         return out
 
     def _extension_ids(self, p, extensions):
         # A window ending at e is a suffix p[i:] weighing under c that e
-        # lifts to c or more; the empty suffix covers e alone (c <= 2).
+        # lifts to c or more; the empty suffix covers e alone (c <= 2). Its
+        # token reads comp(e), comp(p[-1]), comp(p[-2]), ..., so each suffix
+        # base adds one table entry, kept for both head weights.
         c = self.c
         code = BASE_CODE
-        suffixes = [(0, 0, 0)]  # (weight, packed complement of p[i:], length)
-        acc = 0
-        val = 0
+        first, (_, row1, row2) = self._tables
+        suffixes = [(0, 0, 0)]  # (weight of p[i:], rank sum after a weight-1, weight-2 head)
+        acc = r1 = r2 = 0
         for i in range(len(p) - 1, -1, -1):
             b = code[p[i]]
-            acc += _BASE_WEIGHT[b]
-            if acc >= c:
+            bw = _BASE_WEIGHT[b]
+            if acc + bw >= c:
                 break
-            val = (val << 2) | (3 - b)
-            suffixes.append((acc, val, len(p) - i))
-        index = self._index
+            r1 += row1[4 * acc + 3 - b]
+            r2 += row2[4 * acc + 3 - b]
+            acc += bw
+            suffixes.append((acc, r1, r2))
         out = set()
         for e in extensions:
-            ew = _BASE_WEIGHT[code[e]]
-            etop = 3 - code[e]
-            for w, sval, slen in suffixes:
+            head = 3 - code[e]
+            ew = _BASE_WEIGHT[head]
+            for w, s1, s2 in suffixes:
                 if w + ew >= c:
-                    out.add(index[(1 << (2 * (slen + 1))) | (etop << (2 * slen)) | sval])
+                    out.add(first[head] + (s1 if ew == 1 else s2))
         return out
 
 
@@ -285,16 +321,26 @@ class ExplicitSpace(ProbeSpace):
 def load_probe_list(path):
     """Read an explicit probe space from a file, one probe per line.
 
-    Blank lines and '#' comments are ignored; ids follow file order.
+    Blank lines and '#' comments are ignored; ids follow file order. A bad
+    byte, an invalid base or a repeated probe raises InstanceFormatError
+    naming its 1-based file line.
     """
-    probes = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            probes.append(line)
-    return ExplicitSpace(probes, descriptor="list:%s" % path)
+    first_line = {}  # probe -> line it first appears on, in file order
+    with open_text(path) as fh:
+        text = fh.read()
+    for line_no, raw in enumerate(text.split("\n"), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        try:
+            seq = normalize(line, what="probe")
+        except SequenceError as exc:
+            raise InstanceFormatError(str(exc), line_no) from None
+        if seq in first_line:
+            raise InstanceFormatError("duplicate probe %r (first on line %d)"
+                                      % (seq, first_line[seq]), line_no)
+        first_line[seq] = line_no
+    return ExplicitSpace(list(first_line), descriptor="list:%s" % path)
 
 
 def make_space(descriptor):

@@ -89,6 +89,36 @@ def test_verify_flags_tampered_design(tmp_path):
     assert "# violations=0" not in report.read_text()
 
 
+def test_verify_checks_manifest_counts(tmp_path, capsys):
+    inst = tmp_path / "inst.txt"
+    design = tmp_path / "design.txt"
+    assert main(["gen", "--pools", "300", "--primers-per-pool", "2", "--primer-length", "20",
+                 "--extensions", "all4", "--seed", "3", "--out", str(inst)]) == 0
+    assert main(["solve", "--in", str(inst), "--probes", "kmer:5", "--redundancy", "1",
+                 "--out", str(design)]) == 0
+    lines = design.read_text().splitlines()
+    assert "# selected=146" in lines
+    report = tmp_path / "verify.txt"
+    # cut to its first 40 lines, the body no longer holds the selected pools
+    design.write_text("\n".join(lines[:40]) + "\n")
+    assert main(["verify", "--in", str(design), "--instance", str(inst),
+                 "--out", str(report)]) == 1
+    assert "-1\tstructure\tmanifest states selected='146' but the body has 29 entries" \
+        in report.read_text().splitlines()
+    # a pool count that is not the instance's is a violation too
+    design.write_text("\n".join(l.replace("# pools=300", "# pools=301") for l in lines) + "\n")
+    assert main(["verify", "--in", str(design), "--instance", str(inst),
+                 "--out", str(report)]) == 1
+    assert "-1\tstructure\tmanifest states pools='301' but the instance has 300 pools" \
+        in report.read_text().splitlines()
+    # without a fingerprint the report still verifies, with one note on stderr
+    capsys.readouterr()
+    design.write_text("\n".join(l for l in lines if not l.startswith("# instance_sha256=")) + "\n")
+    assert main(["verify", "--in", str(design), "--instance", str(inst),
+                 "--out", str(report)]) == 0
+    assert capsys.readouterr().err.count("fingerprint check skipped") == 1
+
+
 def test_verify_needs_probe_space(tmp_path):
     inst = tmp_path / "inst.txt"
     design = tmp_path / "design.txt"
@@ -137,6 +167,15 @@ def test_exit_codes_for_bad_input(tmp_path, capsys):
     edges.write_bytes(b"0\t1\n" * 5000 + b"1\t\x80\n")
     assert main(["reduce", "--in", str(edges), "--probes-out", str(tmp_path / "p.txt")]) == 2
     assert capsys.readouterr().err.startswith("snpmux: error: line 5001: cannot decode byte 0x80")
+    # a probe list names the file line of a bad byte and of a bad probe
+    probes = tmp_path / "probes.txt"
+    probes.write_bytes(b"# probes\nACGT\n\xff\nGQ\n")
+    assert main(["probes", "--probes", "list:%s" % probes]) == 2
+    assert capsys.readouterr().err.startswith("snpmux: error: line 3: cannot decode byte 0xff")
+    probes.write_bytes(b"# probes\nACGT\n\nGQ\n")
+    assert main(["probes", "--probes", "list:%s" % probes]) == 2
+    assert capsys.readouterr().err == (
+        "snpmux: error: line 4: invalid character 'Q' at position 1 in probe 'GQ'\n")
 
 
 _SMALL_INT = st.integers(-1, 8).map(str)
@@ -229,6 +268,32 @@ def test_ingest_exits_cleanly_on_arbitrary_snp_table_bytes(tmp_path, capsys, dat
     code = main(["ingest", "--in", str(table), "--primer-length", "3",
                  "--skipped", str(tmp_path / "skipped.txt"), "--out", str(tmp_path / "inst.txt")])
     _assert_clean_exit(code, capsys.readouterr().err, data)
+
+
+_PROBE_LINE = st.one_of(st.text("ACGTacgtN", min_size=1, max_size=6),
+                       st.sampled_from(["", "# probes", "  ", "AC", "ac", "GQ"]))
+_PROBE_DATA = st.one_of(
+    st.lists(st.tuples(_PROBE_LINE, _SEPARATOR), max_size=8)
+    .map(lambda parts: "".join(a + b for a, b in parts).encode("utf-8")),
+    _DATA,
+)
+
+
+@settings(max_examples=150, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=_PROBE_DATA)
+def test_probes_exits_cleanly_on_arbitrary_probe_list_bytes(tmp_path, capsys, data):
+    probes = tmp_path / "probes.txt"
+    probes.write_bytes(data)
+    capsys.readouterr()
+    code = main(["probes", "--probes", "list:%s" % probes, "--out", str(tmp_path / "out.txt")])
+    err = capsys.readouterr().err
+    if err == "snpmux: error: probe list is empty\n":
+        lines = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n").split("\n")
+        assert all(not l.strip() or l.strip().startswith("#") for l in lines)
+        assert code == 2
+        return
+    _assert_clean_exit(code, err, data)
 
 
 def test_partition_report_structure(tmp_path):

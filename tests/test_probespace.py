@@ -8,6 +8,7 @@ against a naive window scan written independently below.
 
 import hashlib
 import random
+import tracemalloc
 
 import pytest
 
@@ -183,6 +184,64 @@ def test_adjacency_matches_naive(space):
 def test_ctoken_roster_matches_pinned_hash(c, digest):
     roster = "\n".join(CTokenSpace(c).probes())
     assert hashlib.sha256(roster.encode()).hexdigest() == digest
+
+
+def _rank(space, tok):
+    """The id spectrum gives tok: only the start-0 window of its reverse
+    complement reaches back to tok's first base."""
+    y = _rc(tok)
+    (rank,) = space.spectrum(y) - space.spectrum(y[1:])
+    return rank
+
+
+def test_ctoken_rank_is_roster_position():
+    for c in range(2, 12):
+        space = CTokenSpace(c)
+        for pos, tok in enumerate(space.probes()):
+            assert _rank(space, tok) == pos, (c, tok)
+
+
+def _random_ctoken(rng, c):
+    """A uniform base, then bases until the tail weighs c - w(head) or
+    more; where C or G would lift the tail to c, only A or T is drawn."""
+    weights = {"A": 1, "C": 2, "G": 2, "T": 1}
+    head = rng.choice("ACGT")
+    tail, w = "", 0
+    while w < c - weights[head]:
+        b = rng.choice("ACGT" if w + 2 < c else "AT")
+        tail += b
+        w += weights[b]
+    return head + tail
+
+
+@pytest.mark.parametrize("c", [16, 20])
+def test_large_ctoken_ranks_are_bounded_and_ordered(c):
+    space = CTokenSpace(c)
+    assert _rank(space, "A" * c) == 0
+    assert _rank(space, "T" * c) == space.size - 1
+    # a token's first extension by A comes right after it
+    half = "C" * (c // 2)
+    assert _rank(space, half + "A") == _rank(space, half) + 1
+    rng = random.Random(c)
+    toks = sorted({_random_ctoken(rng, c) for _ in range(2000)})
+    assert all(is_ctoken(tok, c) for tok in toks)
+    ranks = [_rank(space, tok) for tok in toks]
+    assert ranks == sorted(set(ranks))
+    assert 0 <= ranks[0] and ranks[-1] < space.size
+
+
+def test_ctoken20_spectrum_allocates_no_index():
+    space = CTokenSpace(20)
+    rng = random.Random(20)
+    target = "".join(rng.choice("ACGT") for _ in range(60))
+    tracemalloc.start()
+    try:
+        spectrum = space.spectrum(target)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(spectrum) > 30  # about one token per start
+    assert peak < 100_000  # bytes; a whole-space index would take gigabytes
 
 
 def test_explicit_space():
