@@ -26,7 +26,9 @@ import bisect
 import contextlib
 import hashlib
 import logging
+from array import array
 from dataclasses import dataclass
+from itertools import islice
 from operator import attrgetter
 
 from .dnaseq import SequenceError, normalize
@@ -131,10 +133,12 @@ class ProblemInstance:
 
     Pools are kept sorted by id. Ids must be unique; text-format instances
     additionally require dense ids 0..n-1 (sub-instances built in memory,
-    e.g. by the partitioner, may be sparse).
+    e.g. by the partitioner, may be sparse). A given fingerprint replaces
+    the hash of this instance's own text: the partitioner passes the
+    parent's, since every array's design verifies against the parent.
     """
 
-    def __init__(self, pools, space, redundancy):
+    def __init__(self, pools, space, redundancy, fingerprint=None):
         if not isinstance(redundancy, int) or redundancy < 1:
             raise ValueError("redundancy must be an integer >= 1, got %r" % (redundancy,))
         pools = sorted(pools, key=lambda pl: pl.id)
@@ -144,7 +148,7 @@ class ProblemInstance:
         self.pools = pools
         self.space = space
         self.redundancy = redundancy
-        self._fingerprint = None
+        self._fingerprint = fingerprint
 
     @property
     def n_pools(self):
@@ -228,12 +232,20 @@ class HybridizationGraph:
     vertices. Primer i is vertex i, in pool order then position in pool,
     and keeps it even when pruned, so results can always be mapped back
     to the instance. The probe of rank j in increasing probe-id order is
-    vertex n_primers + j, so vertex order is id order on both sides.
+    vertex n_primers + j, so vertex order is id order on both sides;
+    probe_ids maps a probe vertex's rank back to its id.
 
-    adj_plus[u] lists u's unextended-spectrum neighbours and adj_minus[u]
-    its extension-only neighbours, both ascending, which keeps every
-    traversal deterministic. alive flags live vertices; d_plus[u] counts
-    u's live adj_plus neighbours and d_total[u] all its live neighbours.
+    The adjacency is stored in CSR (compressed sparse row) form, one pair
+    of flat ``array`` objects per sign: the row of vertex u is
+    nb_plus[off_plus[u]:off_plus[u + 1]] for its unextended-spectrum
+    neighbours, and likewise nb_minus/off_minus for its extension-only
+    neighbours; row(u) and row(u, minus=True) return them. Primer rows
+    come first, in vertex order; probe rows are their transpose. Every
+    row ascends, which keeps every traversal deterministic.
+
+    The run state sits apart from the adjacency: alive flags live
+    vertices; d_plus[u] counts u's live unextended neighbours and
+    d_total[u] all its live neighbours; live_primers counts live primers.
     Primers whose unextended spectrum is empty can never witness anything
     and are pruned at build (counted in pruned_empty).
     """
@@ -254,41 +266,44 @@ class HybridizationGraph:
                 self.primer_pool.append(pos)
             self.pool_primers.append(members)
 
+        # primer rows as raw probe ids, 64-bit: kmer:16 ids reach 4**16 - 1
         n = len(primers)
-        adj_plus = [()] * n
-        adj_minus = [()] * n
-        probe_ids = set()
+        raw_plus, raw_minus = array("q"), array("q")
+        off_plus, off_minus = array("q", [0]), array("q", [0])
         pruned = 0
-        for i, primer in enumerate(primers):
+        for primer in primers:
             nplus, nminus = space.primer_adjacency(primer.sequence, primer.extensions)
-            if not nplus:
+            if nplus:
+                raw_plus.extend(nplus)
+                raw_minus.extend(nminus)
+            else:
                 pruned += 1
-                continue
-            adj_plus[i] = nplus
-            adj_minus[i] = nminus
-            probe_ids.update(nplus)
-            probe_ids.update(nminus)
+            off_plus.append(len(raw_plus))
+            off_minus.append(len(raw_minus))
         if pruned:
             logger.warning("pruned %d primer(s) with empty unextended spectrum", pruned)
 
-        self.probe_ids = sorted(probe_ids)
+        # each transient table is dropped once used: together they set the
+        # build's peak memory
+        ids = set(raw_plus)
+        ids.update(raw_minus)
+        self.probe_ids = array("q", sorted(ids))
+        del ids
         m = len(self.probe_ids)
         vertex = dict(zip(self.probe_ids, range(n, n + m))).__getitem__
-        adj_plus.extend([] for _ in range(m))
-        adj_minus.extend([] for _ in range(m))
-        for i in range(n):
-            if adj_plus[i]:
-                plus = adj_plus[i] = tuple(map(vertex, adj_plus[i]))
-                minus = adj_minus[i] = tuple(map(vertex, adj_minus[i]))
-                for v in plus:
-                    adj_plus[v].append(i)
-                for v in minus:
-                    adj_minus[v].append(i)
-        self.adj_plus = adj_plus
-        self.adj_minus = adj_minus
-        self.alive = bytearray(map(bool, adj_plus[:n])) + b"\x01" * m
-        self.d_plus = list(map(len, adj_plus))
-        self.d_total = [d + len(a) for d, a in zip(self.d_plus, adj_minus)]
+        nb_plus = array("i", map(vertex, raw_plus))
+        del raw_plus
+        nb_minus = array("i", map(vertex, raw_minus))
+        del raw_minus, vertex
+        _append_transpose(off_plus, nb_plus, n, m)
+        _append_transpose(off_minus, nb_minus, n, m)
+        self.off_plus, self.nb_plus = off_plus, nb_plus
+        self.off_minus, self.nb_minus = off_minus, nb_minus
+
+        self.d_plus = [b - a for a, b in zip(off_plus, islice(off_plus, 1, None))]
+        self.d_total = [d + b - a for d, a, b in
+                        zip(self.d_plus, off_minus, islice(off_minus, 1, None))]
+        self.alive = bytearray(map(bool, self.d_plus[:n])) + b"\x01" * m
         self.live_primers = n - pruned
         self.pruned_empty = pruned
 
@@ -300,15 +315,46 @@ class HybridizationGraph:
     def n_probes(self):
         return len(self.probe_ids)
 
+    def row(self, u, minus=False):
+        """Vertex u's neighbours, ascending: N+ or, with minus, N-."""
+        if minus:
+            return self.nb_minus[self.off_minus[u]:self.off_minus[u + 1]]
+        return self.nb_plus[self.off_plus[u]:self.off_plus[u + 1]]
+
     @property
     def pn_plus(self):
         """N+ of every primer as probe vertices: a read-only view, copied per access."""
-        return self.adj_plus[:self.n_primers]
+        return [tuple(self.row(u)) for u in range(self.n_primers)]
 
     @property
     def pn_minus(self):
         """N- of every primer as probe vertices: a read-only view, copied per access."""
-        return self.adj_minus[:self.n_primers]
+        return [tuple(self.row(u, minus=True)) for u in range(self.n_primers)]
+
+
+def _append_transpose(off, nb, n, m):
+    """Complete one sign's CSR arrays with the probe rows.
+
+    On entry off holds n + 1 offsets and nb the primer rows (probe
+    vertices). A counting sort appends the transpose: probe v's row lists
+    the primers whose row holds v, ascending because primers are visited
+    in vertex order. Both arrays grow in place.
+    """
+    end = len(nb)
+    cursor = [0] * (n + m)
+    for v in nb:
+        cursor[v] += 1
+    for v in range(n, n + m):
+        count = cursor[v]
+        cursor[v] = end
+        end += count
+        off.append(end)
+    nb *= 2  # room for the probe rows, overwritten below
+    for u in range(n):
+        for v in nb[off[u]:off[u + 1]]:
+            k = cursor[v]
+            nb[k] = u
+            cursor[v] = k + 1
 
 
 def build_graph(instance):

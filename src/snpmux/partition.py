@@ -8,13 +8,14 @@ and the tail shrinks quickly. Pools that no single-pool assay can decode
 in the residual would only stall termination.
 
 A selection's decodability depends only on the selected primers, so
-every array's design verifies against the one parent instance; each
-DesignResult is stamped with the parent fingerprint accordingly.
+every array's design verifies against the one parent instance. Each
+round's sub-instance carries the parent fingerprint, so its DesignResult
+is stamped with it and the residual text is never formatted or hashed.
 Sub-instances keep original pool ids so results map straight back.
 """
 
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .instance import ProblemInstance
 from .solvers import SolverConfig, solve
@@ -87,13 +88,13 @@ def partition(instance, config=None, max_arrays=None):
 
     arrays = []
     while residual and (max_arrays is None or len(arrays) < max_arrays):
-        sub = ProblemInstance(residual, space, r)
+        sub = ProblemInstance(residual, space, r, fingerprint=instance.fingerprint)
         result = solve(sub, config)
         if not result.size:
             # every residual pool is decodable alone, so each solver
             # selects at least one; never loop on an empty round
             raise AssertionError("solver selected none of %d residual pools" % len(residual))
-        arrays.append(replace(result, fingerprint=instance.fingerprint))
+        arrays.append(result)
         taken = set(result.pool_ids())
         residual = [pool for pool in residual if pool.id not in taken]
 

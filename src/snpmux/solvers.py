@@ -151,7 +151,7 @@ def _cascade(g, stack, push_p=None, push_x=None, positive=False):
     """
     r, n = g.r, g.n_primers
     alive, d_plus, d_total = g.alive, g.d_plus, g.d_total
-    adj_plus, adj_minus = g.adj_plus, g.adj_minus
+    off_plus, nb_plus, off_minus, nb_minus = g.off_plus, g.nb_plus, g.off_minus, g.nb_minus
     pop = stack.pop
     while stack:
         u = pop()
@@ -163,7 +163,7 @@ def _cascade(g, stack, push_p=None, push_x=None, positive=False):
             floor, push = 1, push_x
         else:
             floor, push = r, push_p
-        for w in adj_plus[u]:
+        for w in nb_plus[off_plus[u]:off_plus[u + 1]]:
             if alive[w]:
                 d = d_plus[w] - 1
                 d_plus[w] = d
@@ -172,7 +172,7 @@ def _cascade(g, stack, push_p=None, push_x=None, positive=False):
                     stack.append(w)
                 elif push is not None:
                     push(w)
-        for w in adj_minus[u]:
+        for w in nb_minus[off_minus[u]:off_minus[u + 1]]:
             if alive[w]:
                 d_total[w] -= 1
                 if push is not None and not positive:
@@ -208,7 +208,7 @@ def _select_and_clean(g, p, selected, push_p, push_x, positive):
     if stack:
         _cascade(g, stack, push_p, push_x, positive)
 
-    live_np = [v for v in g.adj_plus[p] if alive[v]]
+    live_np = [v for v in g.row(p) if alive[v]]
     assert len(live_np) >= g.r, "selected primer lost its witnesses"
     # stable sort of ascending vertices: ties stay in vertex order
     live_np.sort(key=(g.d_plus if positive else g.d_total).__getitem__)
@@ -217,13 +217,13 @@ def _select_and_clean(g, p, selected, push_p, push_x, positive):
         alive[v] = 0  # consumed; no sweep may delete another witness
     stack = []
     for v in witnesses:
-        stack.extend(q for q in g.adj_plus[v] if alive[q])
-        stack.extend(q for q in g.adj_minus[v] if alive[q])
+        stack.extend(q for q in g.row(v) if alive[q])
+        stack.extend(q for q in g.row(v, minus=True) if alive[q])
     if stack:
         _cascade(g, stack, push_p, push_x, positive)
 
-    stack = [v for v in g.adj_plus[p] if alive[v]]
-    stack.extend(v for v in g.adj_minus[p] if alive[v])
+    stack = [v for v in g.row(p) if alive[v]]
+    stack.extend(v for v in g.row(p, minus=True) if alive[v])
     if stack:
         _cascade(g, stack, push_p, push_x, positive)
 
@@ -260,8 +260,8 @@ def _min_degree_greedy(instance, by_probe, positive):
         if not alive[u] or key[u] != k:
             continue  # dead, or stale since its key dropped
         if by_probe:
-            # adjacency lists ascend, so min keeps the lowest vertex on ties
-            u = min((q for q in g.adj_plus[u] if alive[q]), key=key.__getitem__)
+            # rows ascend, so min keeps the lowest vertex on ties
+            u = min((q for q in g.row(u) if alive[q]), key=key.__getitem__)
         _select_and_clean(g, u, selected, push_p, push_x, positive)
     return DesignResult(tuple(selected), fingerprint=instance.fingerprint,
                         pruned_empty=g.pruned_empty)

@@ -1,5 +1,9 @@
+import random
+import tracemalloc
+
 import pytest
 
+from snpmux.datasets import RandomSpec, generate_random
 from snpmux.instance import (
     InstanceFormatError,
     Pool,
@@ -9,7 +13,7 @@ from snpmux.instance import (
     format_instance_text,
     parse_instance_text,
 )
-from snpmux.probespace import KmerSpace
+from snpmux.probespace import CTokenSpace, ExplicitSpace, KmerSpace
 
 
 def _pool(pid, *primers):
@@ -123,20 +127,20 @@ def test_graph_structure_single_extension():
     inst = ProblemInstance(pools, KmerSpace(2), 1)
     g = build_graph(inst)
     assert g.n_primers == 2
-    assert g.probe_ids == [1, 6, 11, 12]
+    assert g.probe_ids.tolist() == [1, 6, 11, 12]
     # probes follow the primers: ids 1, 6, 11, 12 are vertices 2..5
     # primer 0: N+ = probes 6,11 -> vertices 3,4; N- = probe 1 -> vertex 2
-    assert g.adj_plus[0] == (3, 4)
-    assert g.adj_minus[0] == (2,)
+    assert g.row(0).tolist() == [3, 4]
+    assert g.row(0, minus=True).tolist() == [2]
     assert (g.d_plus[0], g.d_total[0]) == (2, 3)
     # primer 1: N+ = probes 1,6 -> vertices 2,3; N- = probe 12 -> vertex 5
     assert g.pn_plus == [(3, 4), (2, 3)]
     assert g.pn_minus == [(2,), (5,)]
     # probe CG (id 6, vertex 3) is reached unextended by both primers
-    assert g.adj_plus[3] == [0, 1]
+    assert g.row(3).tolist() == [0, 1]
     assert (g.d_plus[3], g.d_total[3]) == (2, 2)
     # probe AC (id 1, vertex 2): unextended by primer 1, extended by primer 0
-    assert (g.adj_plus[2], g.adj_minus[2]) == ([1], [0])
+    assert (g.row(2).tolist(), g.row(2, minus=True).tolist()) == ([1], [0])
     assert (g.d_plus[2], g.d_total[2]) == (1, 2)
     assert bytes(g.alive) == b"\x01" * 6
     assert g.live_primers == 2
@@ -157,10 +161,10 @@ def test_graph_prunes_empty_spectrum_primers():
     assert g.alive[1] == 1
     assert g.live_primers == 1
     # the pruned primer contributes no edges at all
-    assert g.adj_plus[0] == ()
-    assert g.adj_minus[0] == ()
+    assert g.row(0).tolist() == []
+    assert g.row(0, minus=True).tolist() == []
     assert (g.d_plus[0], g.d_total[0]) == (0, 0)
-    assert all(0 not in g.adj_plus[v] + g.adj_minus[v] for v in range(2, len(g.alive)))
+    assert all(0 not in g.row(v) + g.row(v, minus=True) for v in range(2, len(g.alive)))
 
 
 def test_graph_is_deterministic():
@@ -170,6 +174,89 @@ def test_graph_is_deterministic():
     g1 = build_graph(inst)
     g2 = build_graph(inst)
     assert g1.probe_ids == g2.probe_ids
-    assert g1.adj_plus == g2.adj_plus
-    assert g1.adj_minus == g2.adj_minus
+    for minus in (False, True):
+        assert [g1.row(u, minus) for u in range(len(g1.alive))] == [
+            g2.row(u, minus) for u in range(len(g2.alive))]
     assert (g1.d_plus, g1.d_total) == (g2.d_plus, g2.d_total)
+
+
+def _naive_graph(inst):
+    """Rows straight from primer_adjacency: (probe ids, plus rows, minus rows)."""
+    primers = [p for pool in inst.pools for p in pool.primers]
+    adj = [inst.space.primer_adjacency(p.sequence, p.extensions) for p in primers]
+    adj = [(plus, minus) if plus else ((), ()) for plus, minus in adj]
+    ids = sorted({x for plus, minus in adj for x in plus + minus})
+    n = len(primers)
+    vertex = {x: n + j for j, x in enumerate(ids)}
+    rows = []
+    for side in (0, 1):
+        side_rows = [[vertex[x] for x in pair[side]] for pair in adj] + [[] for _ in ids]
+        for u in range(n):
+            for v in side_rows[u]:
+                side_rows[v].append(u)
+        rows.append(side_rows)
+    return ids, rows[0], rows[1]
+
+
+def _random_graph_instance(rng, space, max_len):
+    pools = []
+    for pid in range(rng.randint(1, 8)):
+        primers = []
+        for j in range(rng.randint(1, 2)):
+            # lengths from 1 give some primers an empty spectrum
+            seq = "".join(rng.choice("ACGT") for _ in range(rng.randint(1, max_len)))
+            ext = "".join(rng.sample("ACGT", rng.randint(1, 4)))
+            primers.append(Primer(seq, ext, "+-"[j], pid))
+        pools.append(_pool(pid, *primers))
+    return ProblemInstance(pools, space, rng.randint(1, 2))
+
+
+def test_graph_matches_naive_adjacency():
+    rng = random.Random(89)
+    spaces = [KmerSpace(k) for k in (1, 2, 3, 4)] + [CTokenSpace(c) for c in (2, 3, 4, 5)]
+    spaces.append(ExplicitSpace(["AC", "CGT", "GGA", "TTAC", "CA", "ATG", "GT"]))
+    pruned_seen = 0
+    for space in spaces:
+        for _ in range(12):
+            inst = _random_graph_instance(rng, space, 9)
+            g = build_graph(inst)
+            ids, plus, minus = _naive_graph(inst)
+            n, size = g.n_primers, len(g.alive)
+            assert g.probe_ids.tolist() == ids
+            assert size == n + len(ids) == len(g.d_plus) == len(g.d_total)
+            assert [g.row(u).tolist() for u in range(size)] == plus
+            assert [g.row(u, minus=True).tolist() for u in range(size)] == minus
+            for minus_side in (False, True):
+                rows = [g.row(u, minus_side).tolist() for u in range(size)]
+                assert all(a < b for row in rows for a, b in zip(row, row[1:]))
+                primer_edges = {(u, v) for u in range(n) for v in rows[u]}
+                probe_edges = {(u, v) for v in range(n, size) for u in rows[v]}
+                assert primer_edges == probe_edges
+                assert all(v >= n for u in range(n) for v in rows[u])
+            assert g.d_plus == [len(row) for row in plus]
+            assert g.d_total == [len(a) + len(b) for a, b in zip(plus, minus)]
+            empty = [u for u in range(n) if not plus[u]]
+            assert g.pruned_empty == len(empty)
+            assert g.live_primers == n - len(empty)
+            assert [u for u in range(size) if not g.alive[u]] == empty
+            assert g.pn_plus == [tuple(row) for row in plus[:n]]
+            assert g.pn_minus == [tuple(row) for row in minus[:n]]
+            pruned_seen += len(empty)
+    assert pruned_seen
+
+
+def test_graph_memory_per_edge_is_bounded():
+    # on this instance the graph kept 188 bytes per edge with a Python
+    # list or tuple per vertex and keeps 42 with flat arrays
+    pools = generate_random(RandomSpec(2000, 2, 20, "all4", 97))
+    inst = ProblemInstance(pools, KmerSpace(8), 2)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        g = build_graph(inst)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    edges = sum(map(len, g.pn_plus)) + sum(map(len, g.pn_minus))
+    assert edges > 60000
+    assert kept / edges < 55

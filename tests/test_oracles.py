@@ -141,7 +141,7 @@ def test_reduction_has_no_extension_only_edges():
         assert all(minus == () for minus in g.pn_minus)
         # every left vertex's spectrum is exactly its neighborhood
         for u in range(graph.n_left):
-            nplus = set(g.probe_ids[v - g.n_primers] for v in g.adj_plus[u])
+            nplus = set(g.probe_ids[v - g.n_primers] for v in g.row(u))
             assert nplus == set(graph.left_neighbors(u))
 
 

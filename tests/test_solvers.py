@@ -4,7 +4,12 @@ import random
 import pytest
 
 from snpmux.datasets import RandomSpec, generate_random
-from snpmux.decodability import is_strongly_r_decodable, verify_design
+from snpmux.decodability import (
+    DesignResult,
+    is_strongly_r_decodable,
+    parse_design_lines,
+    verify_design,
+)
 from snpmux.instance import Pool, Primer, ProblemInstance, build_graph
 from snpmux.oracles import brute_force_max_decodable
 from snpmux.partition import partition
@@ -217,8 +222,8 @@ def _assert_degrees_recount(g):
     n, alive = g.n_primers, g.alive
     for u in range(len(alive)):
         if alive[u]:
-            plus = sum(alive[w] for w in g.adj_plus[u])
-            minus = sum(alive[w] for w in g.adj_minus[u])
+            plus = sum(alive[w] for w in g.row(u))
+            minus = sum(alive[w] for w in g.row(u, minus=True))
             assert (g.d_plus[u], g.d_total[u]) == (plus, plus + minus), u
             assert plus >= (g.r if u < n else 1), u
     assert g.live_primers == sum(alive[:n])
@@ -298,3 +303,32 @@ def test_designs_match_pinned_hashes():
     lines.append("# uncovered %s remaining %s" % (report.uncovered, report.remaining))
     assert [res.size for res in report.arrays] == [79, 73, 73, 65, 61, 43, 6]
     assert _sha(lines) == _PINNED_PARTITION
+
+
+def test_kmer16_probe_ids_above_2_31():
+    # every 16-mer window of an A/C primer (and of its A/C extensions) has
+    # a G/T reverse complement, so every probe id is at least 2 * 4**15
+    rng = random.Random(101)
+    track = "".join(rng.choice("AC") for _ in range(90))
+    pools = []
+    for pid in range(30):
+        start = rng.randrange(70)
+        primers = [Primer(track[start:start + 18 + pid % 3], rng.choice(("A", "C", "AC")), "+", pid)]
+        pools.append(Pool(pid, tuple(primers)))
+    space = KmerSpace(16)
+    inst = ProblemInstance(pools, space, 2)
+    g = build_graph(inst)
+    ids = set()
+    for pool in pools:
+        nplus, nminus = space.primer_adjacency(pool.primers[0].sequence, pool.primers[0].extensions)
+        ids.update(nplus + nminus)
+    assert min(ids) >= 2**31
+    assert g.probe_ids.tolist() == sorted(ids)
+    for alg in ("minprimer", "minprobe"):
+        res = solve(inst, SolverConfig(alg))
+        assert res.size >= 2, alg
+        assert verify_design(res, inst).ok, alg
+        assert all(w >= 2**31 for e in res.selected for w in e.witnesses), alg
+        back = parse_design_lines("\n".join(res.to_lines()))
+        assert tuple(back) == res.selected, alg
+        assert verify_design(DesignResult(tuple(back), fingerprint=res.fingerprint), inst).ok
