@@ -30,8 +30,9 @@ from .instance import (
     ProblemInstance,
     fingerprint,
     format_instance_text,
-    open_text,
     parse_instance_text,
+    read_text,
+    records,
 )
 from .oracles import BipartiteGraph, reduce_matching_to_design
 from .partition import coverage_curve, partition
@@ -63,22 +64,46 @@ def _write(path, lines):
 
 
 def _load_instance(path, space, redundancy):
-    with open_text(path) as fh:
-        pools = parse_instance_text(fh.read())
-    return ProblemInstance(pools, space, redundancy)
+    return ProblemInstance(parse_instance_text(read_text(path)), space, redundancy)
 
 
 def _read_design(path):
-    with open_text(path) as fh:
-        text = fh.read()
-    manifest = {}
-    for line in text.split("\n"):
-        line = line.strip()
-        if line.startswith("#") and "=" in line:
-            key, _, value = line[1:].strip().partition("=")
-            manifest.setdefault(key.strip(), value.strip())
-    entries = parse_design_lines(text)
-    return manifest, entries
+    """(manifest, manifest_lines, entries): the value and the line of each
+    '# key=value' comment's key, the first such line winning, and the
+    design entries."""
+    comments = []
+    entries = parse_design_lines(read_text(path), comments)
+    manifest, manifest_lines = {}, {}
+    for line_no, body in comments:
+        key, sep, value = body.partition("=")
+        key = key.strip()
+        if sep and key not in manifest:
+            manifest[key] = value.strip()
+            manifest_lines[key] = line_no
+    return manifest, manifest_lines, entries
+
+
+def _setting(parse, value, line_no):
+    """parse(value); an error in a manifest value names its line, and an
+    override (line_no None) is reported as it is."""
+    try:
+        return parse(value)
+    except (ConfigError, OSError) as exc:
+        if line_no is None:
+            raise
+        raise InstanceFormatError(str(exc), line_no) from None
+
+
+def _redundancy(value):
+    """value as a redundancy: an integer >= 1, checked before the instance
+    is read so that a manifest value's error can name its line."""
+    try:
+        r = int(value)
+    except ValueError:
+        r = 0
+    if r < 1:
+        raise ConfigError("redundancy must be an integer >= 1, got %r" % (value,))
+    return r
 
 
 def cmd_probes(args, argv):
@@ -195,15 +220,17 @@ def cmd_partition(args, argv):
 
 
 def cmd_verify(args, argv):
-    manifest, entries = _read_design(args.infile)
+    manifest, manifest_lines, entries = _read_design(args.infile)
     probes = args.probes or manifest.get("probes")
     if not probes:
         raise ConfigError("no probe space: pass --probes or use a report with a manifest")
     redundancy = args.redundancy if args.redundancy is not None else manifest.get("redundancy")
     if redundancy is None:
         raise ConfigError("no redundancy: pass --redundancy or use a report with a manifest")
-    space = make_space(probes)
-    instance = _load_instance(args.instance, space, int(redundancy))
+    space = _setting(make_space, probes, None if args.probes else manifest_lines["probes"])
+    r = _setting(_redundancy, redundancy,
+                 None if args.redundancy is not None else manifest_lines["redundancy"])
+    instance = _load_instance(args.instance, space, r)
     result = DesignResult(tuple(entries), fingerprint=manifest.get("instance_sha256"))
     report = verify_design(result, instance)
     report.violations.extend(_manifest_violations(manifest, len(entries), instance.n_pools))
@@ -237,20 +264,39 @@ def _manifest_violations(manifest, n_entries, n_pools):
     return out
 
 
+def _read_edges(path):
+    """The edges of a u<TAB>v edge list, in file order.
+
+    Every vertex needs an edge, so an index below 0 or not below the number
+    of edges is never valid. Such an index, a repeated edge and a fourth
+    edge on one left vertex are reported at their line, before anything
+    sized by an index is allocated.
+    """
+    lines = []
+    for line_no, fields in records(read_text(path), 2):
+        try:
+            lines.append((line_no, int(fields[0]), int(fields[1])))
+        except ValueError:
+            raise InstanceFormatError("vertex indices must be integers", line_no)
+    n = len(lines)
+    first_line = {}  # edge -> line it first appears on, in file order
+    degree = {}  # left vertex -> its edges so far
+    for line_no, u, v in lines:
+        if not (0 <= u < n and 0 <= v < n):
+            raise InstanceFormatError("edge (%d, %d) out of range: with %d edge(s) an index "
+                                      "must lie in 0..%d" % (u, v, n, n - 1), line_no)
+        if (u, v) in first_line:
+            raise InstanceFormatError("duplicate edge (%d, %d) (first on line %d)"
+                                      % (u, v, first_line[u, v]), line_no)
+        first_line[u, v] = line_no
+        degree[u] = degree.get(u, 0) + 1
+        if degree[u] > 3:
+            raise InstanceFormatError("left vertex %d has degree 4; need 1-3" % u, line_no)
+    return list(first_line)
+
+
 def cmd_reduce(args, argv):
-    edges = []
-    with open_text(args.infile) as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            fields = line.split("\t")
-            if len(fields) != 2:
-                raise InstanceFormatError("expected u<TAB>v", line_no)
-            try:
-                edges.append((int(fields[0]), int(fields[1])))
-            except ValueError:
-                raise InstanceFormatError("vertex indices must be integers", line_no)
+    edges = _read_edges(args.infile)
     if not edges:
         raise ConfigError("edge list is empty")
     n_left = max(u for u, _ in edges) + 1

@@ -21,7 +21,7 @@ import logging
 from dataclasses import dataclass
 
 from .dnaseq import BASES, SequenceError, complement, is_degenerate, normalize, reverse_complement
-from .instance import InstanceFormatError, Pool, Primer, open_text
+from .instance import InstanceFormatError, Pool, Primer, read_text
 
 logger = logging.getLogger(__name__)
 
@@ -155,37 +155,38 @@ def load_snp_table(path, primer_length):
     pools = []
     skipped = []
     first_data = True
-    with open_text(path) as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line.strip() or line.lstrip().startswith("#"):
+    # Not instance.records: it strips a line before splitting it, which would
+    # turn "rs1<TAB>flank<TAB>AG<TAB>", a record with an empty right flank
+    # (skipped as too short), into a three-field format error.
+    for line_no, line in enumerate(read_text(path).split("\n"), start=1):
+        if not line.strip() or line.lstrip().startswith("#"):
+            continue
+        fields = line.split("\t")
+        if first_data:
+            first_data = False
+            if [f.strip().lower() for f in fields] == [
+                "id", "left_flank", "alleles", "right_flank",
+            ]:
                 continue
-            fields = line.split("\t")
-            if first_data:
-                first_data = False
-                if [f.strip().lower() for f in fields] == [
-                    "id", "left_flank", "alleles", "right_flank",
-                ]:
-                    continue
-            if len(fields) != 4:
-                raise InstanceFormatError(
-                    "expected 4 tab-separated fields, got %d" % len(fields), line_no
-                )
-            snp_id, left, alleles, right = _parse_snp_line(fields, line_no)
-            fwd_window = left[-primer_length:]
-            rev_window = right[:primer_length]
-            reason = (_window_skip_reason(fwd_window, primer_length)
-                      or _window_skip_reason(rev_window, primer_length))
-            if reason:
-                skipped.append((snp_id, reason))
-                continue
-            pool_id = len(pools)
-            fwd_ext = "".join(sorted(complement(a) for a in alleles))
-            rev_ext = "".join(sorted(alleles))
-            pools.append(Pool(id=pool_id, primers=(
-                Primer(fwd_window, fwd_ext, "+", pool_id),
-                Primer(reverse_complement(rev_window), rev_ext, "-", pool_id),
-            )))
+        if len(fields) != 4:
+            raise InstanceFormatError(
+                "expected 4 tab-separated fields, got %d" % len(fields), line_no
+            )
+        snp_id, left, alleles, right = _parse_snp_line(fields, line_no)
+        fwd_window = left[-primer_length:]
+        rev_window = right[:primer_length]
+        reason = (_window_skip_reason(fwd_window, primer_length)
+                  or _window_skip_reason(rev_window, primer_length))
+        if reason:
+            skipped.append((snp_id, reason))
+            continue
+        pool_id = len(pools)
+        fwd_ext = "".join(sorted(complement(a) for a in alleles))
+        rev_ext = "".join(sorted(alleles))
+        pools.append(Pool(id=pool_id, primers=(
+            Primer(fwd_window, fwd_ext, "+", pool_id),
+            Primer(reverse_complement(rev_window), rev_ext, "-", pool_id),
+        )))
     if skipped:
         logger.info("skipped %d of %d SNP record(s)", len(skipped), len(skipped) + len(pools))
     return pools, skipped

@@ -15,6 +15,8 @@ claimed design.
 import logging
 from dataclasses import dataclass, field
 
+from .instance import InstanceFormatError, records
+
 logger = logging.getLogger(__name__)
 
 # violation kinds emitted by verify_design
@@ -70,22 +72,17 @@ class DesignResult:
         ]
 
 
-def parse_design_lines(text):
-    """Parse DesignResult data lines; '#' comments and blanks are skipped."""
+def parse_design_lines(text, comments=None):
+    """Parse DesignResult data lines as instance.records reads them,
+    passing comments on to it."""
     entries = []
-    for line_no, raw in enumerate(text.split("\n"), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = line.split("\t")
-        if len(fields) != 3:
-            raise ValueError("line %d: expected 3 tab-separated fields" % line_no)
+    for line_no, fields in records(text, 3, comments):
         try:
             pool_id = int(fields[0])
             primer_index = int(fields[1])
             witnesses = tuple(int(w) for w in fields[2].split(",")) if fields[2] else ()
         except ValueError:
-            raise ValueError("line %d: malformed design entry %r" % (line_no, raw))
+            raise InstanceFormatError("malformed design entry %r" % "\t".join(fields), line_no)
         entries.append(SelectedPool(pool_id, primer_index, tuple(sorted(witnesses))))
     return entries
 

@@ -23,7 +23,6 @@ Pool ids must be dense 0..n-1.
 """
 
 import bisect
-import contextlib
 import hashlib
 import logging
 from array import array
@@ -39,7 +38,7 @@ STRANDS = ("+", "-", ".")
 
 
 class InstanceFormatError(ValueError):
-    """Raised for malformed instance text, with a 1-based line number."""
+    """Raised for malformed input text, with a 1-based line number."""
 
     def __init__(self, message, line_no=None):
         if line_no is not None:
@@ -48,28 +47,44 @@ class InstanceFormatError(ValueError):
         self.line_no = line_no
 
 
-@contextlib.contextmanager
-def open_text(path):
-    """Open a text file for reading; a byte that does not decode raises
+def read_text(path):
+    """The text of a file as open() decodes it, with "\\r\\n" and "\\r" line
+    ends read as "\\n". A byte that does not decode raises
     InstanceFormatError naming the 1-based line it sits on.
-
-    Only the error path re-reads the file, so valid input pays nothing.
     """
     try:
         with open(path) as fh:
-            yield fh
+            return fh.read()
     except UnicodeDecodeError as exc:
-        with open(path, "rb") as fh:
-            data = fh.read()
-        try:  # a streaming read reports positions within its chunk
-            data.decode(exc.encoding)
-        except UnicodeDecodeError as whole:
-            exc = whole
+        data = exc.object  # the whole file: read() decodes it in one call
         head = data[: exc.start].decode(exc.encoding).replace("\r\n", "\n")
         raise InstanceFormatError(
             "cannot decode byte 0x%02x as %s: %s" % (data[exc.start], exc.encoding, exc.reason),
             head.count("\n") + head.count("\r") + 1,
         ) from None
+
+
+def records(text, n_fields, comments=None):
+    """Yield (line_no, fields) for each data line of a text from read_text.
+
+    Lines split on "\\n" only and are stripped; blank lines and '#' comments
+    are skipped, and comments, when given, receives (line_no, text after
+    the '#') for each comment line. A data line's fields are its
+    tab-separated parts; a count other than n_fields raises
+    InstanceFormatError naming the 1-based line.
+    """
+    for line_no, raw in enumerate(text.split("\n"), start=1):
+        line = raw.strip()
+        if line.startswith("#"):
+            if comments is not None:
+                comments.append((line_no, line[1:]))
+        elif line:
+            fields = line.split("\t")
+            if len(fields) != n_fields:
+                raise InstanceFormatError(
+                    "expected %d tab-separated fields, got %d" % (n_fields, len(fields)), line_no
+                )
+            yield line_no, fields
 
 
 @dataclass(frozen=True)
@@ -180,16 +195,7 @@ def parse_instance_text(text):
     Raises InstanceFormatError with a line number on malformed input.
     """
     by_pool = {}
-    for line_no, raw in enumerate(text.split("\n"), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = line.split("\t")
-        if len(fields) != 4:
-            raise InstanceFormatError(
-                "expected 4 tab-separated fields, got %d" % len(fields), line_no
-            )
-        pid_text, strand, seq, ext = fields
+    for line_no, (pid_text, strand, seq, ext) in records(text, 4):
         try:
             pool_id = int(pid_text)
         except ValueError:

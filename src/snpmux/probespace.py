@@ -29,7 +29,7 @@ import functools
 import logging
 
 from .dnaseq import BASE_CODE, SequenceError, normalize, reverse_complement, unpack_value, weight
-from .instance import InstanceFormatError, open_text
+from .instance import InstanceFormatError, read_text, records
 
 logger = logging.getLogger(__name__)
 
@@ -326,12 +326,7 @@ def load_probe_list(path):
     naming its 1-based file line.
     """
     first_line = {}  # probe -> line it first appears on, in file order
-    with open_text(path) as fh:
-        text = fh.read()
-    for line_no, raw in enumerate(text.split("\n"), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for line_no, (line,) in records(read_text(path), 1):
         try:
             seq = normalize(line, what="probe")
         except SequenceError as exc:

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -176,6 +177,23 @@ def test_exit_codes_for_bad_input(tmp_path, capsys):
     assert main(["probes", "--probes", "list:%s" % probes]) == 2
     assert capsys.readouterr().err == (
         "snpmux: error: line 4: invalid character 'Q' at position 1 in probe 'GQ'\n")
+    # a bad manifest value is reported at its line; an override as it is
+    for manifest, err in (
+            ("# probes=kmer:3\n# redundancy=abc\n", "line 2: redundancy must be an integer"
+             " >= 1, got 'abc'"),
+            ("# redundancy=1\n\n# probes=kmer:99\n", "line 3: k must be in [1, 16], got 99"),
+            ("# probes=kmer:3\n# redundancy=0\n", "line 2: redundancy must be an integer"
+             " >= 1, got '0'")):
+        design.write_text(manifest + "0\t0\t3\n")
+        assert main(["verify", "--in", str(design), "--instance", str(inst)]) == 2
+        assert capsys.readouterr().err == "snpmux: error: %s\n" % err
+    assert main(["verify", "--in", str(design), "--instance", str(inst),
+                 "--probes", "kmer:99"]) == 2
+    assert capsys.readouterr().err == "snpmux: error: k must be in [1, 16], got 99\n"
+    assert main(["verify", "--in", str(design), "--instance", str(inst),
+                 "--redundancy", "0"]) == 2
+    assert capsys.readouterr().err == (
+        "snpmux: error: redundancy must be an integer >= 1, got 0\n")
 
 
 _SMALL_INT = st.integers(-1, 8).map(str)
@@ -189,13 +207,16 @@ _DESIGN_LINE = st.one_of(
     st.tuples(st.sampled_from(["probes", "redundancy", "instance_sha256"]),
               st.sampled_from(["kmer:3", "kmer:0", "wat", "1", "2", "0", "-1", "x", ""]))
     .map(lambda kv: "# %s=%s" % kv),
+    st.sampled_from(["# probes=kmer:3", "# probes=kmer:99", "# redundancy=x", "# redundancy=0"]),
 )
+_NO_SETTING = ("snpmux: error: no probe space: pass --probes or use a report with a manifest\n",
+               "snpmux: error: no redundancy: pass --redundancy or use a report with a manifest\n")
 
 
 @settings(max_examples=150, deadline=None, database=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(lines=st.lists(_DESIGN_LINE, max_size=8), override=st.booleans())
-def test_verify_never_raises_on_arbitrary_design_text(tmp_path, lines, override):
+def test_verify_never_raises_on_arbitrary_design_text(tmp_path, capsys, lines, override):
     inst = tmp_path / "inst.txt"
     if not inst.exists():
         main(["gen", "--pools", "6", "--primer-length", "7", "--seed", "2", "--out", str(inst)])
@@ -205,7 +226,12 @@ def test_verify_never_raises_on_arbitrary_design_text(tmp_path, lines, override)
             "--out", str(tmp_path / "verify.txt")]
     if override:
         argv += ["--probes", "kmer:3", "--redundancy", "1"]
-    assert main(argv) in (0, 1, 2)
+    capsys.readouterr()
+    code = main(argv)
+    err = capsys.readouterr().err
+    if code == 2 and not override and err in _NO_SETTING:
+        return
+    _assert_clean_exit(code, err, design.read_bytes(), ok=(0, 1))
 
 
 def _line_count(data):
@@ -214,9 +240,10 @@ def _line_count(data):
     return len(lines) - (lines[-1] == b"")
 
 
-def _assert_clean_exit(code, err, data):
-    """Exit 0, or exit 2 with exactly one error line that names a line of data."""
-    assert code in (0, 2)
+def _assert_clean_exit(code, err, data, ok=(0,)):
+    """An exit code in ok, or exit 2 with exactly one error line that names
+    a line of data."""
+    assert code in ok + (2,)
     if code == 2:
         match = re.fullmatch(r"snpmux: error: line (\d+): [^\n]*\n", err)
         assert match, err
@@ -349,14 +376,91 @@ def test_reduce_pipeline_matches_mim(tmp_path):
                  "--out", str(tmp_path / "v.txt")]) == 0
 
 
-def test_reduce_rejects_bad_edges(tmp_path):
+def test_reduce_rejects_bad_edges(tmp_path, capsys):
     edge_file = tmp_path / "edges.tsv"
-    edge_file.write_text("0\tx\n")
-    assert main(["reduce", "--in", str(edge_file),
-                 "--probes-out", str(tmp_path / "p.txt")]) == 2
-    edge_file.write_text("")
-    assert main(["reduce", "--in", str(edge_file),
-                 "--probes-out", str(tmp_path / "p.txt")]) == 2
+    argv = ["reduce", "--in", str(edge_file), "--probes-out", str(tmp_path / "p.txt"),
+            "--out", str(tmp_path / "i.txt")]
+    for text, err in (
+            ("0\tx\n", "line 1: vertex indices must be integers"),
+            ("", "edge list is empty"),
+            ("0\t0\n-1\t1\n", "line 2: edge (-1, 1) out of range: with 2 edge(s) an index"
+             " must lie in 0..1"),
+            ("0\t1\n1\t0\n0\t0\n1\t0\n", "line 4: duplicate edge (1, 0) (first on line 2)"),
+            ("0\t0\n0\t1\n1\t2\n0\t2\n# fourth\n0\t3\n",
+             "line 6: left vertex 0 has degree 4; need 1-3"),
+            # a gap within range is a whole-file error
+            ("0\t0\n0\t2\n1\t2\n", "right vertex 1 is isolated")):
+        edge_file.write_text(text)
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "snpmux: error: %s\n" % err
+    # an index far beyond the edge count is refused before any table it sizes
+    edge_file.write_text("0\t0\n1\t20000000\n")
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert capsys.readouterr().err.startswith("snpmux: error: line 2: edge (1, 20000000)")
+    assert peak < 1 << 20
+
+
+_INDEX = st.one_of(st.integers(0, 4), st.integers(-3, 10**6 - 1)).map(str)
+_EDGE_DATA = st.one_of(
+    st.lists(st.tuples(st.tuples(_INDEX, _INDEX).map("\t".join), st.just("\n")), max_size=8),
+    st.lists(st.tuples(st.one_of(st.tuples(_INDEX, _INDEX).map("\t".join), _LINE), _SEPARATOR),
+             max_size=8),
+).map(lambda parts: "".join(a + b for a, b in parts).encode("utf-8"))
+_REDUCE_WHOLE_FILE = re.compile(r"snpmux: error: (edge list is empty|right vertex \d+ is isolated"
+                                r"|left vertex \d+ has degree 0; need 1-3)\n")
+
+
+@settings(max_examples=150, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.one_of(_EDGE_DATA, _DATA))
+def test_reduce_exits_cleanly_on_arbitrary_edge_bytes(tmp_path, capsys, data):
+    edges = tmp_path / "edges.tsv"
+    edges.write_bytes(data)
+    capsys.readouterr()
+    code = main(["reduce", "--in", str(edges), "--probes-out", str(tmp_path / "p.txt"),
+                 "--out", str(tmp_path / "i.txt")])
+    err = capsys.readouterr().err
+    if code == 2 and _REDUCE_WHOLE_FILE.fullmatch(err):
+        return
+    _assert_clean_exit(code, err, data)
+
+
+# CRLF and lone-CR line ends, a form feed inside a comment (not a line end
+# here, though str.splitlines takes it for one), a whitespace-only line,
+# then a record with one field too many on line 5
+_AWKWARD = "# page one\x0cpage two\r\n%s\r \t \r\n%s\n%s\t9\r\n"
+
+
+@pytest.mark.parametrize("subcommand, good, bad", [
+    ("solve", ("0\t+\tACGTAC\tA", "1\t.\tGGTTAC\tAG"), "2\t.\tGGTTAC\tAG"),
+    ("verify", ("0\t0\t1,2", "1\t0\t3"), "2\t0\t4"),
+    ("probes", ("ACG", "TTG"), "GGA"),
+    ("reduce", ("0\t0", "1\t1"), "1\t0"),
+    ("ingest", ("rs1\tACGTA\tAG\tCCGTA", "rs2\tACGTA\tAG\t"), "rs3\tACG\tCT\tTTT"),
+])
+def test_every_reader_names_the_line_of_a_bad_record(tmp_path, capsys, subcommand, good, bad):
+    path = tmp_path / "input.txt"
+    path.write_bytes((_AWKWARD % (good + (bad,))).encode("utf-8"))
+    inst = tmp_path / "inst.txt"
+    main(["gen", "--pools", "4", "--primer-length", "6", "--seed", "1", "--out", str(inst)])
+    argv = {
+        "solve": ["solve", "--in", str(path), "--probes", "kmer:3"],
+        "verify": ["verify", "--in", str(path), "--instance", str(inst),
+                   "--probes", "kmer:3", "--redundancy", "1"],
+        "probes": ["probes", "--probes", "list:%s" % path],
+        "reduce": ["reduce", "--in", str(path), "--probes-out", str(tmp_path / "p.txt")],
+        "ingest": ["ingest", "--in", str(path), "--primer-length", "4"],
+    }[subcommand]
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("snpmux: error: line 5: ") and err.count("\n") == 1, err
 
 
 def test_bench_grid_shape(tmp_path):

@@ -154,7 +154,8 @@ def test_load_snp_table_skip_reasons(tmp_path):
         "rs_short\tACGT\tAC\t%s\n"
         "rs_degen\tACGTNACGTA\tAC\t%s\n"
         "rs_right\t%s\tAC\tGGGG\n"
-    ) % (good_left, good_right, good_right, good_right, good_left)
+        "rs_empty_right\t%s\tAC\t\n"  # an empty last field is still a field
+    ) % (good_left, good_right, good_right, good_right, good_left, good_left)
     pools, skipped = load_snp_table(_write(tmp_path, text), 10)
     assert len(pools) == 1
     assert pools[0].id == 0
@@ -162,6 +163,7 @@ def test_load_snp_table_skip_reasons(tmp_path):
         ("rs_short", SKIP_SHORT_FLANK),
         ("rs_degen", SKIP_DEGENERATE),
         ("rs_right", SKIP_SHORT_FLANK),
+        ("rs_empty_right", SKIP_SHORT_FLANK),
     ]
 
 
