@@ -20,6 +20,7 @@ indices.
 """
 
 import logging
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import combinations, product
 
@@ -58,7 +59,8 @@ class BipartiteGraph:
         object.__setattr__(self, "edges", edges)
 
     def left_neighbors(self, u):
-        return sorted(v for uu, v in self.edges if uu == u)
+        edges = self.edges  # sorted, so u's edges are one ascending run
+        return [v for _, v in edges[bisect_left(edges, (u,)):bisect_left(edges, (u + 1,))]]
 
     def degrees(self):
         dl = [0] * self.n_left
@@ -202,10 +204,14 @@ def reduce_matching_to_design(graph):
     indices; its maximum decodable subset size equals the graph's
     maximum induced matching size.
     """
-    deg_left, deg_right = graph.degrees()
-    for u, d in enumerate(deg_left):
-        if not 1 <= d <= 3:
-            raise ValueError("left vertex %d has degree %d; need 1-3" % (u, d))
+    neighbors = [[] for _ in range(graph.n_left)]
+    deg_right = [0] * graph.n_right
+    for u, v in graph.edges:  # sorted, so every list ascends
+        neighbors[u].append(v)
+        deg_right[v] += 1
+    for u, nbrs in enumerate(neighbors):
+        if not 1 <= len(nbrs) <= 3:
+            raise ValueError("left vertex %d has degree %d; need 1-3" % (u, len(nbrs)))
     for v, d in enumerate(deg_right):
         if d < 1:
             raise ValueError("right vertex %d is isolated" % v)
@@ -219,8 +225,8 @@ def reduce_matching_to_design(graph):
         descriptor="list:<reduction>",
     )
     pools = []
-    for u in range(graph.n_left):
-        seq = "C".join(words[v] for v in graph.left_neighbors(u))
+    for u, nbrs in enumerate(neighbors):
+        seq = "C".join(words[v] for v in nbrs)
         pools.append(Pool(id=u, primers=(Primer(seq, "CG", ".", u),)))
     instance = ProblemInstance(pools, space, redundancy=1)
     return ReductionOutput(instance=instance, probe_assignment=words, word_length=bits)

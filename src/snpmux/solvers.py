@@ -37,6 +37,7 @@ logger = logging.getLogger(__name__)
 
 ALGORITHMS = ("seq", "minprimer", "minprobe")
 DEGREE_MODES = ("total", "positive")
+_SHARED = -1  # sequential_greedy: a covered probe informative for nobody
 
 
 @dataclass(frozen=True)
@@ -70,17 +71,18 @@ def solve(instance, config=None):
 def sequential_greedy(instance):
     """First-fit scan: keep a pool if some primer of it fits the selection.
 
-    A candidate is accepted when it has >= r probes nobody selected can
-    reach, and accepting it leaves every earlier selection with >= r
-    informative probes. Bookkeeping is incremental: per-probe coverage
-    counts plus the owner of every currently-informative probe.
+    A candidate is accepted when it has >= r probes no selected primer's
+    extended products reach, and accepting it leaves every earlier
+    selection with >= r informative probes. One map holds the coverage:
+    ``owner`` sends every covered probe to the slot it is informative for
+    (covered once, unextended) or to ``_SHARED`` (covered twice, or once
+    only through an extension). Uncovered probes are absent.
     """
     space = instance.space
     r = instance.redundancy
-    cover = {}  # probe id -> number of selected extended spectra covering it
-    informative_for = {}  # probe id -> selection slot it is informative for
+    owner = {}  # covered probe id -> owning slot, or _SHARED
     counts = []  # informative probes per selection slot
-    chosen = []  # (pool_id, primer_index, own spectrum set)
+    chosen = []  # (pool_id, primer_index, sorted unextended spectrum)
     pruned_empty = 0
     for pool in instance.pools:
         for primer_index, primer in enumerate(pool.primers):
@@ -88,52 +90,31 @@ def sequential_greedy(instance):
             if not nplus:
                 pruned_empty += 1
                 continue
-            gain = sum(1 for x in nplus if x not in cover)
+            gain = sum(1 for x in nplus if x not in owner)
             if gain < r:
                 continue
             # would any earlier selection drop below r informative probes?
             loss = {}
-            ok = True
-            for x in nplus:
-                slot = informative_for.get(x)
-                if slot is not None:
+            for x in nplus + nminus:
+                slot = owner.get(x, _SHARED)
+                if slot != _SHARED:
                     loss[slot] = loss.get(slot, 0) + 1
-            for x in nminus:
-                slot = informative_for.get(x)
-                if slot is not None:
-                    loss[slot] = loss.get(slot, 0) + 1
-            for slot, lost in loss.items():
-                if counts[slot] - lost < r:
-                    ok = False
-                    break
-            if not ok:
+            if any(counts[slot] - lost < r for slot, lost in loss.items()):
                 continue
-            # accept: update coverage and informative ownership
+            for slot, lost in loss.items():
+                counts[slot] -= lost
             slot = len(chosen)
-            npset = set(nplus)
             for x in nplus:
-                c = cover.get(x, 0)
-                cover[x] = c + 1
-                if c == 0:
-                    informative_for[x] = slot
-                else:
-                    owner = informative_for.pop(x, None)
-                    if owner is not None:
-                        counts[owner] -= 1
+                owner[x] = _SHARED if x in owner else slot
             for x in nminus:
-                c = cover.get(x, 0)
-                cover[x] = c + 1
-                if c:
-                    owner = informative_for.pop(x, None)
-                    if owner is not None:
-                        counts[owner] -= 1
+                owner[x] = _SHARED
             counts.append(gain)
-            chosen.append((pool.id, primer_index, npset))
+            chosen.append((pool.id, primer_index, nplus))
             break
     selected = []
-    for slot, (pool_id, primer_index, npset) in enumerate(chosen):
-        own = sorted(x for x in npset if informative_for.get(x) == slot)
-        selected.append(SelectedPool(pool_id, primer_index, tuple(own[:r])))
+    for slot, (pool_id, primer_index, nplus) in enumerate(chosen):
+        own = [x for x in nplus if owner[x] == slot][:r]
+        selected.append(SelectedPool(pool_id, primer_index, tuple(own)))
     return DesignResult(tuple(selected), fingerprint=instance.fingerprint,
                         pruned_empty=pruned_empty)
 
@@ -195,8 +176,10 @@ def _select_and_clean(g, p, selected, push_p, push_x, positive):
     until the step ends, exactly as if it left the graph only once all
     its edges are gone. The step: delete pool mates; freeze the r
     smallest-degree live spectrum probes as witnesses (degree order at
-    selection time); delete every other primer reaching a witness; then
-    delete the remaining probes adjacent to p.
+    selection time); then one sweep deletes every other primer reaching a
+    witness and every remaining probe adjacent to p. A sweep peels to the
+    same fixed point in any deletion order, so one sweep equals the two
+    in sequence.
     """
     alive = g.alive
     pool_pos = g.primer_pool[p]
@@ -215,17 +198,12 @@ def _select_and_clean(g, p, selected, push_p, push_x, positive):
     witnesses = live_np[:g.r]
     for v in witnesses:
         alive[v] = 0  # consumed; no sweep may delete another witness
-    stack = []
+    stack = live_np[g.r:]
+    stack.extend(g.row(p, minus=True))
     for v in witnesses:
-        stack.extend(q for q in g.row(v) if alive[q])
-        stack.extend(q for q in g.row(v, minus=True) if alive[q])
-    if stack:
-        _cascade(g, stack, push_p, push_x, positive)
-
-    stack = [v for v in g.row(p) if alive[v]]
-    stack.extend(v for v in g.row(p, minus=True) if alive[v])
-    if stack:
-        _cascade(g, stack, push_p, push_x, positive)
+        stack.extend(g.row(v))
+        stack.extend(g.row(v, minus=True))
+    _cascade(g, stack, push_p, push_x, positive)
 
     pool = g.pools[pool_pos]
     primer_index = g.pool_primers[pool_pos].index(p)

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -143,6 +144,22 @@ def test_reduction_has_no_extension_only_edges():
         for u in range(graph.n_left):
             nplus = set(g.probe_ids[v - g.n_primers] for v in g.row(u))
             assert nplus == set(graph.left_neighbors(u))
+
+
+def test_reduction_of_a_long_chain_is_linear():
+    # left u meets right u and u + 1; a scan of every edge per left vertex
+    # took 14 s at this size
+    n = 16000
+    graph = BipartiteGraph(n_left=n, n_right=n + 1,
+                           edges=tuple((u, u + d) for u in range(n) for d in (0, 1)))
+    started = time.perf_counter()
+    red = reduce_matching_to_design(graph)
+    assert time.perf_counter() - started < 2.0
+    words = red.probe_assignment
+    for u in (0, 1, 8191, n - 1):
+        assert graph.left_neighbors(u) == [u, u + 1]
+        sequence = "C".join(words[v] for v in graph.left_neighbors(u))
+        assert red.instance.pools[u].primers[0].sequence == sequence
 
 
 def test_reduction_degree_validation():

@@ -13,7 +13,7 @@ from snpmux.decodability import (
 from snpmux.instance import Pool, Primer, ProblemInstance, build_graph
 from snpmux.oracles import brute_force_max_decodable
 from snpmux.partition import partition
-from snpmux.probespace import KmerSpace
+from snpmux.probespace import CTokenSpace, KmerSpace
 from snpmux.solvers import (
     ALGORITHMS,
     DEGREE_MODES,
@@ -97,6 +97,40 @@ def test_selected_primers_are_strongly_decodable():
             if reps:
                 ok, _ = is_strongly_r_decodable(reps, inst.redundancy, inst.space)
                 assert ok, alg
+
+
+def _first_fit_reference(inst):
+    """seq's definition, checked from scratch: each pool takes its first
+    primer that keeps the whole selection strongly r-decodable."""
+    chosen, picks = [], []
+    for pool in inst.pools:
+        for index, primer in enumerate(pool.primers):
+            if is_strongly_r_decodable(chosen + [primer], inst.redundancy, inst.space)[0]:
+                chosen.append(primer)
+                picks.append((pool.id, index))
+                break
+    if not chosen:
+        return []
+    _, witnesses = is_strongly_r_decodable(chosen, inst.redundancy, inst.space)
+    return [(pid, index, w) for (pid, index), w in zip(picks, witnesses)]
+
+
+def test_seq_matches_first_fit_reference():
+    seed, selected, skipped = 0, 0, 0
+    for space in (KmerSpace(2), KmerSpace(3), KmerSpace(4),
+                  CTokenSpace(3), CTokenSpace(4), CTokenSpace(5)):
+        for r in (1, 2, 3):
+            for per_pool in (1, 2):
+                for ext in ("pair", "all4"):
+                    seed += 1
+                    pools = generate_random(RandomSpec(16, per_pool, 7, ext, seed))
+                    inst = ProblemInstance(pools, space, r)
+                    got = [(e.pool_id, e.primer_index, e.witnesses)
+                           for e in sequential_greedy(inst).selected]
+                    assert got == _first_fit_reference(inst), (space.descriptor, r, per_pool, ext)
+                    selected += len(got)
+                    skipped += len(pools) - len(got)
+    assert selected and skipped  # both acceptance and rejection were exercised
 
 
 def test_never_beats_brute_force():
@@ -277,32 +311,46 @@ _PINNED_DESIGNS = {
     (4, 1, "minprobe", "positive"): "87f0a6d3e0fafd41bcfb2f0855d5bf346d6df8712d7adb7cd3ca1368c74321be",
 }
 _PINNED_PARTITION = "42cf21926d7d785020ab69efc8a854ec57788424af92a926c66e39e2703e60ea"
+# seq on the c-token family the benchmark's seq workload uses, and the seq
+# rounds of partition (its default solver)
+_PINNED_CTOKEN_SEQ = "9ba63dc558b67d712a44e926206291dacb916409320c324a3c54e25841d23092"
+_PINNED_PARTITION_SEQ = "3e504ba77174dd536a291db1aab3d334e7adf3759620c28e8d858fe4b3aeaf3d"
 
 
 def _sha(lines):
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
-def _seeded_instance(k, r, seed):
+def _seeded_instance(space, r, seed):
     pools = generate_random(RandomSpec(400, 2, 12, "pair", seed))
-    return ProblemInstance(pools, KmerSpace(k), r)
+    return ProblemInstance(pools, space, r)
 
 
-def test_designs_match_pinned_hashes():
-    for k, r, seed in ((5, 2, 71), (4, 1, 73)):
-        inst = _seeded_instance(k, r, seed)
-        for alg in ALGORITHMS:
-            for mode in DEGREE_MODES:
-                res = solve(inst, SolverConfig(alg, mode))
-                assert _sha(res.to_lines()) == _PINNED_DESIGNS[k, r, alg, mode], (k, r, alg, mode)
-    report = partition(_seeded_instance(4, 1, 79), SolverConfig("minprobe"))
+def _partition_lines(report):
     lines = []
     for i, res in enumerate(report.arrays):
         lines.append("# array %d" % i)
         lines.extend(res.to_lines())
     lines.append("# uncovered %s remaining %s" % (report.uncovered, report.remaining))
+    return lines
+
+
+def test_designs_match_pinned_hashes():
+    for k, r, seed in ((5, 2, 71), (4, 1, 73)):
+        inst = _seeded_instance(KmerSpace(k), r, seed)
+        for alg in ALGORITHMS:
+            for mode in DEGREE_MODES:
+                res = solve(inst, SolverConfig(alg, mode))
+                assert _sha(res.to_lines()) == _PINNED_DESIGNS[k, r, alg, mode], (k, r, alg, mode)
+    report = partition(_seeded_instance(KmerSpace(4), 1, 79), SolverConfig("minprobe"))
     assert [res.size for res in report.arrays] == [79, 73, 73, 65, 61, 43, 6]
-    assert _sha(lines) == _PINNED_PARTITION
+    assert _sha(_partition_lines(report)) == _PINNED_PARTITION
+    res = solve(_seeded_instance(CTokenSpace(7), 2, 83), SolverConfig("seq"))
+    assert res.size == 160
+    assert _sha(res.to_lines()) == _PINNED_CTOKEN_SEQ
+    report = partition(_seeded_instance(KmerSpace(4), 1, 79), SolverConfig("seq"))
+    assert [res.size for res in report.arrays] == [67, 66, 59, 55, 56, 52, 40, 5]
+    assert _sha(_partition_lines(report)) == _PINNED_PARTITION_SEQ
 
 
 def test_kmer16_probe_ids_above_2_31():
