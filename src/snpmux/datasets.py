@@ -10,11 +10,12 @@ pair from the list AC, AG, AT, CG, CT, GT.
 SNP tables are tab-separated: ``id  left_flank  alleles  right_flank``
 with an optional header line and '#' comments. For a primer length L,
 the forward primer is the last L bases of the left flank extended by the
-complements of the alleles; the reverse primer is the reverse complement
-of the first L bases of the right flank extended by the alleles
-themselves (the complements of the reverse-strand alleles). Records
-whose windows are short or contain IUPAC ambiguity codes are skipped
-with a reason rather than rejected.
+alleles; the reverse primer is the reverse complement of the first L
+bases of the right flank extended by the alleles' complements. Single-base
+extension copies the SNP base, so primer plus extension base is a stretch
+of one allele's haplotype (left + allele + right) on the primer's strand.
+Records whose windows are short or contain IUPAC ambiguity codes are
+skipped with a reason rather than rejected.
 """
 
 import logging
@@ -181,8 +182,8 @@ def load_snp_table(path, primer_length):
             skipped.append((snp_id, reason))
             continue
         pool_id = len(pools)
-        fwd_ext = "".join(sorted(complement(a) for a in alleles))
-        rev_ext = "".join(sorted(alleles))
+        fwd_ext = "".join(sorted(alleles))
+        rev_ext = "".join(sorted(complement(a) for a in alleles))
         pools.append(Pool(id=pool_id, primers=(
             Primer(fwd_window, fwd_ext, "+", pool_id),
             Primer(reverse_complement(rev_window), rev_ext, "-", pool_id),

@@ -1,10 +1,10 @@
-"""Exhaustive reference solvers and the matching-to-design reduction.
+"""Exact reference solvers and the matching-to-design reduction.
 
 These exist to check the greedy heuristics, not to run at scale:
-``brute_force_max_decodable`` tries every pool subset and representative
-assignment, and ``brute_force_mim`` every edge subset of a bipartite
-graph. ``reduce_matching_to_design`` maps a bipartite graph (max degree
-3) to a design instance over an explicit probe list such that maximum
+``brute_force_max_decodable`` is a branch and bound over pool choices,
+and ``brute_force_mim`` tries every edge subset of a bipartite graph.
+``reduce_matching_to_design`` maps a bipartite graph (max degree 3) to
+a design instance over an explicit probe list such that maximum
 induced matchings correspond exactly to maximum decodable pool subsets
 at redundancy 1; it doubles as a hard-instance generator since the
 design problem inherits the matching problem's inapproximability.
@@ -20,9 +20,10 @@ indices.
 """
 
 import logging
+import sys
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations
 
 from .decodability import DesignResult, SelectedPool, is_strongly_r_decodable
 from .dnaseq import reverse_complement
@@ -62,14 +63,6 @@ class BipartiteGraph:
         edges = self.edges  # sorted, so u's edges are one ascending run
         return [v for _, v in edges[bisect_left(edges, (u,)):bisect_left(edges, (u + 1,))]]
 
-    def degrees(self):
-        dl = [0] * self.n_left
-        dr = [0] * self.n_right
-        for u, v in self.edges:
-            dl[u] += 1
-            dr[v] += 1
-        return dl, dr
-
 
 def brute_force_mim(graph):
     """Maximum induced matching size, by descending exhaustive search.
@@ -106,84 +99,55 @@ def _is_induced_matching(chosen, edge_set):
 
 
 def brute_force_max_decodable(instance, cap=DEFAULT_ENUMERATION_CAP):
-    """Exhaustive maximum decodable subset: (size, witnessing DesignResult).
+    """Exact maximum decodable subset: (size, witnessing DesignResult).
 
-    Enumerates pool subsets by descending size and, within a subset,
-    every representative assignment; the first assignment the
-    decodability checker accepts wins. The total number of candidate
-    assignments, prod(1 + pool size), must stay within cap.
+    Depth-first branch and bound over the pools in order: each pool gets
+    one of its primers or is skipped. A node stops once some selected
+    primer keeps fewer than r informative probes, since adding primers
+    only raises coverage; a branch is cut when the selected count plus
+    the pools still to come cannot beat the best selection found so far.
+    The search visits at most cap nodes, recurses once per pool, and the
+    checker must accept the selection it returns.
     """
     pools = instance.pools
+    if len(pools) > sys.getrecursionlimit() // 2:
+        raise SizeLimitError("%d pools exceed the search depth limit" % len(pools))
     r = instance.redundancy
     space = instance.space
-    total = 1
-    for pool in pools:
-        total *= 1 + len(pool.primers)
-        if total > cap:
-            raise SizeLimitError(
-                "instance admits more than %d candidate assignments" % cap
-            )
-    use_masks = space.size <= 4096
-    if use_masks:
-        spec_masks, ext_masks = _primer_masks(pools, space)
-    for k in range(len(pools), 0, -1):
-        for subset in combinations(range(len(pools)), k):
-            choices = [range(len(pools[i].primers)) for i in subset]
-            for assignment in product(*choices):
-                if use_masks and not _mask_feasible(
-                    subset, assignment, spec_masks, ext_masks, r
-                ):
-                    continue
-                primers = [pools[i].primers[a] for i, a in zip(subset, assignment)]
-                ok, witnesses = is_strongly_r_decodable(primers, r, space)
-                if ok:
-                    selected = tuple(
-                        SelectedPool(pools[i].id, a, w)
-                        for i, a, w in zip(subset, assignment, witnesses)
-                    )
-                    return k, DesignResult(selected, fingerprint=instance.fingerprint)
-                if use_masks:
-                    raise AssertionError(
-                        "mask feasibility disagrees with decodability checker"
-                    )
-    return 0, DesignResult((), fingerprint=instance.fingerprint)
+    adjacency = [[space.primer_adjacency(p.sequence, p.extensions) for p in pool.primers]
+                 for pool in pools]
+    cover = {}  # probe id -> selected primers whose extended products reach it
+    chosen = []  # (pool index, primer index) per selected pool
+    best = []
+    nodes = 0
 
+    def search(i):
+        nonlocal best, nodes
+        nodes += 1
+        if nodes > cap:
+            raise SizeLimitError("search exceeded %d nodes" % cap)
+        if len(chosen) > len(best):
+            best = list(chosen)
+        if len(chosen) + len(pools) - i <= len(best):
+            return
+        for a, (nplus, nminus) in enumerate(adjacency[i]):
+            for x in nplus + nminus:
+                cover[x] = cover.get(x, 0) + 1
+            chosen.append((i, a))
+            if all(sum(cover[x] == 1 for x in adjacency[j][b][0]) >= r for j, b in chosen):
+                search(i + 1)
+            chosen.pop()
+            for x in nplus + nminus:
+                cover[x] -= 1
+        search(i + 1)
 
-def _primer_masks(pools, space):
-    spec_masks = []
-    ext_masks = []
-    for pool in pools:
-        srow, erow = [], []
-        for primer in pool.primers:
-            nplus, nminus = space.primer_adjacency(primer.sequence, primer.extensions)
-            smask = 0
-            for x in nplus:
-                smask |= 1 << x
-            emask = smask
-            for x in nminus:
-                emask |= 1 << x
-            srow.append(smask)
-            erow.append(emask)
-        spec_masks.append(srow)
-        ext_masks.append(erow)
-    return spec_masks, ext_masks
-
-
-def _mask_feasible(subset, assignment, spec_masks, ext_masks, r):
-    exts = [ext_masks[i][a] for i, a in zip(subset, assignment)]
-    n = len(exts)
-    prefix = [0] * (n + 1)
-    for t in range(n):
-        prefix[t + 1] = prefix[t] | exts[t]
-    suffix = [0] * (n + 1)
-    for t in range(n - 1, -1, -1):
-        suffix[t] = suffix[t + 1] | exts[t]
-    for t, (i, a) in enumerate(zip(subset, assignment)):
-        others = prefix[t] | suffix[t + 1]
-        own = spec_masks[i][a] & ~others
-        if own.bit_count() < r:
-            return False
-    return True
+    search(0)
+    primers = [pools[i].primers[a] for i, a in best]
+    ok, witnesses = is_strongly_r_decodable(primers, r, space)
+    if not ok:
+        raise AssertionError("branch and bound disagrees with decodability checker")
+    selected = tuple(SelectedPool(pools[i].id, a, w) for (i, a), w in zip(best, witnesses))
+    return len(best), DesignResult(selected, fingerprint=instance.fingerprint)
 
 
 @dataclass(frozen=True)

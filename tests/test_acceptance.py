@@ -15,6 +15,7 @@ import gc
 import itertools
 import random
 import time
+from collections import Counter
 
 from snpmux.datasets import RandomSpec, generate_random
 from snpmux.decodability import verify_design
@@ -155,6 +156,7 @@ def test_criterion_05_heuristics_vs_brute_force():
     rng = random.Random(5005)
     configs = list(itertools.product((2, 3), (1, 2)))  # (k, r)
     matched = {cfg: 0 for cfg in configs}
+    gaps = {}
     for k, r in configs:
         space = KmerSpace(k)
         for _ in range(50):
@@ -165,12 +167,41 @@ def test_criterion_05_heuristics_vs_brute_force():
                 report = verify_design(res, inst)
                 assert report.ok, (alg, [v.to_line() for v in report.violations])
                 assert res.size <= best, (alg, res.size, best)
+                gaps.setdefault(("k=%d r=%d" % (k, r), alg), []).append(best - res.size)
                 if res.size == best:
                     matched[(k, r)] += 1
     elapsed = time.perf_counter() - started
     print("200 instances in %.1fs; optimum matched per config: %s" % (elapsed, matched))
+    _print_gaps(gaps)
     assert all(count >= 1 for count in matched.values())
     assert elapsed < 60.0
+
+
+def _print_gaps(gaps):
+    """One line per (config, algorithm): mean and max of optimum - size."""
+    for (label, alg), values in gaps.items():
+        print("gap %s %-9s mean %.2f max %d" % (label, alg, _mean(values), max(values)))
+
+
+def test_criterion_05_gaps_at_25_pools():
+    # 3**25 candidate assignments: only a search that cuts branches gets here
+    started = time.perf_counter()
+    space = KmerSpace(4)
+    gaps = {}
+    for r in (1, 2):
+        for seed in (1, 2, 3):
+            inst = ProblemInstance(_random_pools(25, 2, 10, "all4", seed), space, r)
+            best, witness = brute_force_max_decodable(inst)
+            assert verify_design(witness, inst).ok, (r, seed)
+            for alg in ALGORITHMS:
+                res = solve(inst, SolverConfig(algorithm=alg))
+                assert verify_design(res, inst).ok, (r, seed, alg)
+                assert res.size <= best, (r, seed, alg, res.size, best)
+                gaps.setdefault(("25 pools r=%d" % r, alg), []).append(best - res.size)
+    elapsed = time.perf_counter() - started
+    print("6 instances of 25 pools in %.1fs" % elapsed)
+    _print_gaps(gaps)
+    assert elapsed < 15.0
 
 
 def _bounded_bipartite(rng):
@@ -185,8 +216,9 @@ def _bounded_bipartite(rng):
             if not any(e[1] == v for e in edges):
                 edges.add((rng.randrange(n_left), v))
         graph = BipartiteGraph(n_left=n_left, n_right=n_right, edges=tuple(edges))
-        dl, dr = graph.degrees()
-        if max(dl) <= 3 and max(dr) <= 3:
+        dl = Counter(u for u, _ in graph.edges)
+        dr = Counter(v for _, v in graph.edges)
+        if max(dl.values()) <= 3 and max(dr.values()) <= 3:
             return graph
 
 

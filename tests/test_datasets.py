@@ -125,11 +125,33 @@ def test_load_snp_table_basic(tmp_path):
     assert len(pools) == 1
     fwd, rev = pools[0].primers
     assert fwd.sequence == left
-    assert fwd.extensions == "CT"  # complements of the alleles
+    assert fwd.extensions == "AG"  # the alleles themselves
     assert fwd.strand == "+"
     assert rev.sequence == reverse_complement(right)
-    assert rev.extensions == "AG"  # the alleles themselves
+    assert rev.extensions == "CT"  # complements of the alleles
     assert rev.strand == "-"
+
+
+def test_load_snp_table_extensions_copy_the_snp_base(tmp_path):
+    # single-base extension adds the base at the SNP on the primer's own
+    # strand, so primer + extension is a stretch of one allele's haplotype
+    rng = random.Random(11)
+    records = []
+    for _ in range(40):
+        left = "".join(rng.choice("ACGT") for _ in range(rng.randint(10, 16)))
+        right = "".join(rng.choice("ACGT") for _ in range(rng.randint(10, 16)))
+        alleles = "".join(rng.sample("ACGT", rng.randint(2, 4)))
+        records.append((left, alleles, right))
+    text = "".join("rs%d\t%s\t%s\t%s\n" % (i, *rec) for i, rec in enumerate(records))
+    pools, skipped = load_snp_table(_write(tmp_path, text), 10)
+    assert skipped == [] and len(pools) == len(records)
+    for pool, (left, alleles, right) in zip(pools, records):
+        forward = [left + a + right for a in alleles]
+        strands = {"+": forward, "-": [reverse_complement(h) for h in forward]}
+        for primer in pool.primers:
+            for e in primer.extensions:
+                assert any(primer.sequence + e in h for h in strands[primer.strand]), \
+                    (pool.id, primer.strand, e)
 
 
 def test_load_snp_table_windows_are_clipped(tmp_path):

@@ -1,5 +1,6 @@
 import random
 import time
+from collections import Counter
 
 import pytest
 
@@ -19,7 +20,6 @@ def test_bipartite_graph_validation():
     g = BipartiteGraph(n_left=2, n_right=2, edges=((1, 1), (0, 0)))
     assert g.edges == ((0, 0), (1, 1))
     assert g.left_neighbors(1) == [1]
-    assert g.degrees() == ([1, 1], [1, 1])
     with pytest.raises(ValueError):
         BipartiteGraph(n_left=1, n_right=1, edges=((0, 1),))
     with pytest.raises(ValueError):
@@ -100,8 +100,15 @@ def test_brute_force_max_decodable_cap():
     space = KmerSpace(2)
     pools = [_pool(i, "AAAA", "C") for i in range(10)]
     inst = ProblemInstance(pools, space, 1)
+    # the cap bounds search nodes: one per pool on the first descent alone
     with pytest.raises(SizeLimitError):
-        brute_force_max_decodable(inst, cap=100)
+        brute_force_max_decodable(inst, cap=10)
+    size, result = brute_force_max_decodable(inst)
+    assert size == 1 and verify_design(result, inst).ok
+    # one recursion frame per pool: too many pools is a size error too
+    many = ProblemInstance([_pool(i, "AAAA", "C") for i in range(5000)], space, 1)
+    with pytest.raises(SizeLimitError):
+        brute_force_max_decodable(many)
 
 
 def test_reduction_structure():
@@ -188,8 +195,7 @@ def _random_bipartite(rng, max_side=5, max_degree=3):
         u = rng.randrange(n_left)
         edges.add((u, v))
     graph = BipartiteGraph(n_left=n_left, n_right=n_right, edges=tuple(edges))
-    dl, _ = graph.degrees()
-    if max(dl) > max_degree:
+    if max(Counter(u for u, _ in graph.edges).values()) > max_degree:
         return _random_bipartite(rng, max_side, max_degree)
     return graph
 
