@@ -10,14 +10,14 @@ __version__ = "0.1.0"
 
 from .dnaseq import complement, reverse_complement, weight, is_degenerate
 from .probespace import KmerSpace, CTokenSpace, ExplicitSpace, make_space
-from .instance import Primer, Pool, ProblemInstance, build_graph
+from .instance import Primer, Pool, ProblemInstance
 from .decodability import (
     DesignResult,
     SelectedPool,
     is_strongly_r_decodable,
     verify_design,
 )
-from .solvers import SolverConfig, solve
+from .solvers import SolverConfig, build_graph, solve
 from .partition import partition, coverage_curve
 from .datasets import RandomSpec, generate_random, load_snp_table
 from .oracles import (

@@ -22,7 +22,7 @@ import logging
 from dataclasses import dataclass
 
 from .dnaseq import BASES, SequenceError, complement, is_degenerate, normalize, reverse_complement
-from .instance import InstanceFormatError, Pool, Primer, read_text
+from .instance import InstanceFormatError, Pool, Primer, read_text, records
 
 logger = logging.getLogger(__name__)
 
@@ -115,7 +115,6 @@ def generate_random(spec):
 
 def _parse_snp_line(fields, line_no):
     snp_id, left, alleles_text, right = fields
-    snp_id = snp_id.strip()
     if not snp_id:
         raise InstanceFormatError("empty SNP id", line_no)
     try:
@@ -155,24 +154,9 @@ def load_snp_table(path, primer_length):
         raise ValueError("primer_length must be >= 1, got %r" % (primer_length,))
     pools = []
     skipped = []
-    first_data = True
-    # Not instance.records: it strips a line before splitting it, which would
-    # turn "rs1<TAB>flank<TAB>AG<TAB>", a record with an empty right flank
-    # (skipped as too short), into a three-field format error.
-    for line_no, line in enumerate(read_text(path).split("\n"), start=1):
-        if not line.strip() or line.lstrip().startswith("#"):
+    for i, (line_no, fields) in enumerate(records(read_text(path), 4)):
+        if i == 0 and [f.lower() for f in fields] == ["id", "left_flank", "alleles", "right_flank"]:
             continue
-        fields = line.split("\t")
-        if first_data:
-            first_data = False
-            if [f.strip().lower() for f in fields] == [
-                "id", "left_flank", "alleles", "right_flank",
-            ]:
-                continue
-        if len(fields) != 4:
-            raise InstanceFormatError(
-                "expected 4 tab-separated fields, got %d" % len(fields), line_no
-            )
         snp_id, left, alleles, right = _parse_snp_line(fields, line_no)
         fwd_window = left[-primer_length:]
         rev_window = right[:primer_length]

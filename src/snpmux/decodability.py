@@ -12,12 +12,9 @@ state with the solvers, so it can be used as an acceptance gate for any
 claimed design.
 """
 
-import logging
 from dataclasses import dataclass, field
 
 from .instance import InstanceFormatError, records
-
-logger = logging.getLogger(__name__)
 
 # violation kinds emitted by verify_design
 KIND_STRUCTURE = "structure"

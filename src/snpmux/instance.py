@@ -1,17 +1,10 @@
-"""Primer pools, problem instances, and the primer/probe hybridization graph.
+"""Primer pools, problem instances, and their text.
 
 A pool holds the one or two single-base-extension primers that genotype
 one SNP (at most one per strand). An instance is a set of pools together
 with the probe space of the target array and the required redundancy r:
 every selected pool must keep at least r probes that hybridize to its
 representative primer and to no other selected pool's extended products.
-
-The hybridization graph is bipartite between primers and probes. For a
-primer p, N+(p) is the spectrum of the unextended primer (the informative
-side) and N-(p) holds the probes gained only through extension products.
-Only probes with at least one incident edge are materialized. Both sides
-share one vertex space: primers first, in pool order, then probes in
-increasing probe-id order, so every deletion rule reads the same arrays.
 
 Instance text format, one primer per line, '#' comments allowed::
 
@@ -24,15 +17,10 @@ Pool ids must be dense 0..n-1.
 
 import bisect
 import hashlib
-import logging
-from array import array
 from dataclasses import dataclass
-from itertools import islice
 from operator import attrgetter
 
 from .dnaseq import SequenceError, normalize
-
-logger = logging.getLogger(__name__)
 
 STRANDS = ("+", "-", ".")
 
@@ -67,11 +55,12 @@ def read_text(path):
 def records(text, n_fields, comments=None):
     """Yield (line_no, fields) for each data line of a text from read_text.
 
-    Lines split on "\\n" only and are stripped; blank lines and '#' comments
-    are skipped, and comments, when given, receives (line_no, text after
-    the '#') for each comment line. A data line's fields are its
-    tab-separated parts; a count other than n_fields raises
-    InstanceFormatError naming the 1-based line.
+    Lines split on "\\n" only. A line that is blank or a '#' comment once
+    stripped is skipped, and comments, when given, receives (line_no, text
+    after the '#') for each comment line. A data line's fields are its
+    tab-separated parts, each stripped, so a leading or trailing tab adds
+    an empty field; a count other than n_fields raises InstanceFormatError
+    naming the 1-based line.
     """
     for line_no, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
@@ -79,7 +68,7 @@ def records(text, n_fields, comments=None):
             if comments is not None:
                 comments.append((line_no, line[1:]))
         elif line:
-            fields = line.split("\t")
+            fields = [field.strip() for field in raw.split("\t")]
             if len(fields) != n_fields:
                 raise InstanceFormatError(
                     "expected %d tab-separated fields, got %d" % (n_fields, len(fields)), line_no
@@ -229,140 +218,3 @@ def format_instance_text(pools):
                 "%d\t%s\t%s\t%s" % (pool.id, primer.strand, primer.sequence, primer.extensions)
             )
     return "\n".join(lines) + ("\n" if lines else "")
-
-
-class HybridizationGraph:
-    """Mutable bipartite primer/probe graph used by the greedy solvers.
-
-    Primers and probes share one vertex space of n_primers + n_probes
-    vertices. Primer i is vertex i, in pool order then position in pool,
-    and keeps it even when pruned, so results can always be mapped back
-    to the instance. The probe of rank j in increasing probe-id order is
-    vertex n_primers + j, so vertex order is id order on both sides;
-    probe_ids maps a probe vertex's rank back to its id.
-
-    The adjacency is stored in CSR (compressed sparse row) form, one pair
-    of flat ``array`` objects per sign: the row of vertex u is
-    nb_plus[off_plus[u]:off_plus[u + 1]] for its unextended-spectrum
-    neighbours, and likewise nb_minus/off_minus for its extension-only
-    neighbours; row(u) and row(u, minus=True) return them. Primer rows
-    come first, in vertex order; probe rows are their transpose. Every
-    row ascends, which keeps every traversal deterministic.
-
-    The run state sits apart from the adjacency: alive flags live
-    vertices; d_plus[u] counts u's live unextended neighbours and
-    d_total[u] all its live neighbours; live_primers counts live primers.
-    Primers whose unextended spectrum is empty can never witness anything
-    and are pruned at build (counted in pruned_empty).
-    """
-
-    def __init__(self, instance):
-        space = instance.space
-        pools = instance.pools
-        self.r = instance.redundancy
-        self.pools = pools
-        primers = []
-        self.primer_pool = []  # primer vertex -> pool position
-        self.pool_primers = []  # pool position -> [primer vertex]
-        for pos, pool in enumerate(pools):
-            members = []
-            for primer in pool.primers:
-                members.append(len(primers))
-                primers.append(primer)
-                self.primer_pool.append(pos)
-            self.pool_primers.append(members)
-
-        # primer rows as raw probe ids, 64-bit: kmer:16 ids reach 4**16 - 1
-        n = len(primers)
-        raw_plus, raw_minus = array("q"), array("q")
-        off_plus, off_minus = array("q", [0]), array("q", [0])
-        pruned = 0
-        for primer in primers:
-            nplus, nminus = space.primer_adjacency(primer.sequence, primer.extensions)
-            if nplus:
-                raw_plus.extend(nplus)
-                raw_minus.extend(nminus)
-            else:
-                pruned += 1
-            off_plus.append(len(raw_plus))
-            off_minus.append(len(raw_minus))
-        if pruned:
-            logger.warning("pruned %d primer(s) with empty unextended spectrum", pruned)
-
-        # each transient table is dropped once used: together they set the
-        # build's peak memory
-        ids = set(raw_plus)
-        ids.update(raw_minus)
-        self.probe_ids = array("q", sorted(ids))
-        del ids
-        m = len(self.probe_ids)
-        vertex = dict(zip(self.probe_ids, range(n, n + m))).__getitem__
-        nb_plus = array("i", map(vertex, raw_plus))
-        del raw_plus
-        nb_minus = array("i", map(vertex, raw_minus))
-        del raw_minus, vertex
-        _append_transpose(off_plus, nb_plus, n, m)
-        _append_transpose(off_minus, nb_minus, n, m)
-        self.off_plus, self.nb_plus = off_plus, nb_plus
-        self.off_minus, self.nb_minus = off_minus, nb_minus
-
-        self.d_plus = [b - a for a, b in zip(off_plus, islice(off_plus, 1, None))]
-        self.d_total = [d + b - a for d, a, b in
-                        zip(self.d_plus, off_minus, islice(off_minus, 1, None))]
-        self.alive = bytearray(map(bool, self.d_plus[:n])) + b"\x01" * m
-        self.live_primers = n - pruned
-        self.pruned_empty = pruned
-
-    @property
-    def n_primers(self):
-        return len(self.primer_pool)
-
-    @property
-    def n_probes(self):
-        return len(self.probe_ids)
-
-    def row(self, u, minus=False):
-        """Vertex u's neighbours, ascending: N+ or, with minus, N-."""
-        if minus:
-            return self.nb_minus[self.off_minus[u]:self.off_minus[u + 1]]
-        return self.nb_plus[self.off_plus[u]:self.off_plus[u + 1]]
-
-    @property
-    def pn_plus(self):
-        """N+ of every primer as probe vertices: a read-only view, copied per access."""
-        return [tuple(self.row(u)) for u in range(self.n_primers)]
-
-    @property
-    def pn_minus(self):
-        """N- of every primer as probe vertices: a read-only view, copied per access."""
-        return [tuple(self.row(u, minus=True)) for u in range(self.n_primers)]
-
-
-def _append_transpose(off, nb, n, m):
-    """Complete one sign's CSR arrays with the probe rows.
-
-    On entry off holds n + 1 offsets and nb the primer rows (probe
-    vertices). A counting sort appends the transpose: probe v's row lists
-    the primers whose row holds v, ascending because primers are visited
-    in vertex order. Both arrays grow in place.
-    """
-    end = len(nb)
-    cursor = [0] * (n + m)
-    for v in nb:
-        cursor[v] += 1
-    for v in range(n, n + m):
-        count = cursor[v]
-        cursor[v] = end
-        end += count
-        off.append(end)
-    nb *= 2  # room for the probe rows, overwritten below
-    for u in range(n):
-        for v in nb[off[u]:off[u + 1]]:
-            k = cursor[v]
-            nb[k] = u
-            cursor[v] = k + 1
-
-
-def build_graph(instance):
-    """Build the hybridization graph for an instance."""
-    return HybridizationGraph(instance)

@@ -19,9 +19,7 @@ reverse complements of the x_v so that probe ids equal right-vertex
 indices.
 """
 
-import logging
 import sys
-from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -29,8 +27,6 @@ from .decodability import DesignResult, SelectedPool, is_strongly_r_decodable
 from .dnaseq import reverse_complement
 from .instance import Pool, Primer, ProblemInstance
 from .probespace import ExplicitSpace
-
-logger = logging.getLogger(__name__)
 
 MIM_VERTEX_LIMIT = 24
 DEFAULT_ENUMERATION_CAP = 2_000_000
@@ -58,10 +54,6 @@ class BipartiteGraph:
         if len(set(edges)) != len(edges):
             raise ValueError("duplicate edges")
         object.__setattr__(self, "edges", edges)
-
-    def left_neighbors(self, u):
-        edges = self.edges  # sorted, so u's edges are one ascending run
-        return [v for _, v in edges[bisect_left(edges, (u,)):bisect_left(edges, (u + 1,))]]
 
 
 def brute_force_mim(graph):

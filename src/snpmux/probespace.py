@@ -26,12 +26,9 @@ A space only says which probes those end windows hit.
 """
 
 import functools
-import logging
 
 from .dnaseq import BASE_CODE, SequenceError, normalize, reverse_complement, unpack_value, weight
 from .instance import InstanceFormatError, read_text, records
-
-logger = logging.getLogger(__name__)
 
 KMER_MIN, KMER_MAX = 1, 16
 CTOKEN_MIN, CTOKEN_MAX = 2, 20

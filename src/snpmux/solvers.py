@@ -12,11 +12,19 @@ verification by construction:
   and represent it by its minimum-degree unextended primer, favoring
   sparsely contested regions of the array.
 
-minprimer and minprobe are one loop over a binary heap of (key, vertex)
-pairs packed into single ints. Degrees only decrease, so every decrease
-pushes a fresh entry and pops skip dead or stale ones. The heap yields
-the smallest live (key, vertex): ties always break toward the lowest
-vertex, which is the lowest primer index or probe id, so every run is
+minprimer and minprobe run on the hybridization graph, which is
+bipartite between primers and probes. For a primer p, N+(p) is the
+spectrum of the unextended primer (the informative side) and N-(p) holds
+the probes gained only through extension products. Only probes with at
+least one incident edge are materialized. Both sides share one vertex
+space: primers first, in pool order, then probes in increasing probe-id
+order, so every deletion rule reads the same arrays.
+
+They are one loop over a binary heap of (key, vertex) pairs packed
+into single ints. Degrees only decrease, so every decrease pushes a
+fresh entry and pops skip dead or stale ones. The heap yields the
+smallest live (key, vertex): ties always break toward the lowest vertex,
+which is the lowest primer index or probe id, so every run is
 deterministic.
 
 The removal rules maintain two invariants on the live graph: a primer
@@ -27,11 +35,13 @@ live unextended degree is at least its side's floor.
 """
 
 import logging
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
+from itertools import islice
 
 from .decodability import DesignResult, SelectedPool
-from .instance import build_graph
 
 logger = logging.getLogger(__name__)
 
@@ -119,6 +129,139 @@ def sequential_greedy(instance):
                         pruned_empty=pruned_empty)
 
 
+class HybridizationGraph:
+    """Mutable bipartite primer/probe graph used by the greedy solvers.
+
+    Primers and probes share one vertex space of n_primers + n_probes
+    vertices. Primer i is vertex i, in pool order then position in pool,
+    and keeps it even when pruned, so results can always be mapped back
+    to the instance: the pool at position i owns primer vertices
+    pool_start[i] .. pool_start[i + 1] - 1. The probe of rank j in
+    increasing probe-id order is vertex n_primers + j, so vertex order is
+    id order on both sides; probe_ids maps a probe vertex's rank back to
+    its id.
+
+    The adjacency is stored in CSR (compressed sparse row) form, one pair
+    of flat ``array`` objects per sign: the row of vertex u is
+    nb_plus[off_plus[u]:off_plus[u + 1]] for its unextended-spectrum
+    neighbours, and likewise nb_minus/off_minus for its extension-only
+    neighbours; row(u) and row(u, minus=True) return them. Primer rows
+    come first, in vertex order; probe rows are their transpose. Every
+    row ascends, which keeps every traversal deterministic.
+
+    The run state sits apart from the adjacency: alive flags live
+    vertices; d_plus[u] counts u's live unextended neighbours and
+    d_total[u] all its live neighbours; live_primers counts live primers.
+    Primers whose unextended spectrum is empty can never witness anything
+    and are pruned at build (counted in pruned_empty).
+    """
+
+    def __init__(self, instance):
+        space = instance.space
+        pools = instance.pools
+        self.r = instance.redundancy
+        self.pools = pools
+        pool_start = array("i", [0])
+        for pool in pools:
+            pool_start.append(pool_start[-1] + len(pool.primers))
+        self.pool_start = pool_start
+
+        # primer rows as raw probe ids, 64-bit: kmer:16 ids reach 4**16 - 1
+        n = pool_start[-1]
+        raw_plus, raw_minus = array("q"), array("q")
+        off_plus, off_minus = array("q", [0]), array("q", [0])
+        pruned = 0
+        for primer in (primer for pool in pools for primer in pool.primers):
+            nplus, nminus = space.primer_adjacency(primer.sequence, primer.extensions)
+            if nplus:
+                raw_plus.extend(nplus)
+                raw_minus.extend(nminus)
+            else:
+                pruned += 1
+            off_plus.append(len(raw_plus))
+            off_minus.append(len(raw_minus))
+        if pruned:
+            logger.warning("pruned %d primer(s) with empty unextended spectrum", pruned)
+
+        # each transient table is dropped once used: together they set the
+        # build's peak memory
+        ids = set(raw_plus)
+        ids.update(raw_minus)
+        self.probe_ids = array("q", sorted(ids))
+        del ids
+        m = len(self.probe_ids)
+        vertex = dict(zip(self.probe_ids, range(n, n + m))).__getitem__
+        nb_plus = array("i", map(vertex, raw_plus))
+        del raw_plus
+        nb_minus = array("i", map(vertex, raw_minus))
+        del raw_minus, vertex
+        _append_transpose(off_plus, nb_plus, n, m)
+        _append_transpose(off_minus, nb_minus, n, m)
+        self.off_plus, self.nb_plus = off_plus, nb_plus
+        self.off_minus, self.nb_minus = off_minus, nb_minus
+
+        self.d_plus = [b - a for a, b in zip(off_plus, islice(off_plus, 1, None))]
+        self.d_total = [d + b - a for d, a, b in
+                        zip(self.d_plus, off_minus, islice(off_minus, 1, None))]
+        self.alive = bytearray(map(bool, self.d_plus[:n])) + b"\x01" * m
+        self.live_primers = n - pruned
+        self.pruned_empty = pruned
+
+    @property
+    def n_primers(self):
+        return self.pool_start[-1]
+
+    @property
+    def n_probes(self):
+        return len(self.probe_ids)
+
+    def row(self, u, minus=False):
+        """Vertex u's neighbours, ascending: N+ or, with minus, N-."""
+        if minus:
+            return self.nb_minus[self.off_minus[u]:self.off_minus[u + 1]]
+        return self.nb_plus[self.off_plus[u]:self.off_plus[u + 1]]
+
+    @property
+    def pn_plus(self):
+        """N+ of every primer as probe vertices: a read-only view, copied per access."""
+        return [tuple(self.row(u)) for u in range(self.n_primers)]
+
+    @property
+    def pn_minus(self):
+        """N- of every primer as probe vertices: a read-only view, copied per access."""
+        return [tuple(self.row(u, minus=True)) for u in range(self.n_primers)]
+
+
+def _append_transpose(off, nb, n, m):
+    """Complete one sign's CSR arrays with the probe rows.
+
+    On entry off holds n + 1 offsets and nb the primer rows (probe
+    vertices). A counting sort appends the transpose: probe v's row lists
+    the primers whose row holds v, ascending because primers are visited
+    in vertex order. Both arrays grow in place.
+    """
+    end = len(nb)
+    cursor = [0] * (n + m)
+    for v in nb:
+        cursor[v] += 1
+    for v in range(n, n + m):
+        count = cursor[v]
+        cursor[v] = end
+        end += count
+        off.append(end)
+    nb *= 2  # room for the probe rows, overwritten below
+    for u in range(n):
+        for v in nb[off[u]:off[u + 1]]:
+            k = cursor[v]
+            nb[k] = u
+            cursor[v] = k + 1
+
+
+def build_graph(instance):
+    """Build the hybridization graph for an instance."""
+    return HybridizationGraph(instance)
+
+
 def _cascade(g, stack, push_p=None, push_x=None, positive=False):
     """Delete the vertices on the stack until the degree invariants hold again.
 
@@ -182,12 +325,14 @@ def _select_and_clean(g, p, selected, push_p, push_x, positive):
     in sequence.
     """
     alive = g.alive
-    pool_pos = g.primer_pool[p]
+    pool_start = g.pool_start
+    pos = bisect_right(pool_start, p) - 1
+    first = pool_start[pos]
 
     alive[p] = 0  # retired
     g.live_primers -= 1
 
-    stack = [q for q in g.pool_primers[pool_pos] if q != p and alive[q]]
+    stack = [q for q in range(first, pool_start[pos + 1]) if alive[q]]
     if stack:
         _cascade(g, stack, push_p, push_x, positive)
 
@@ -205,11 +350,9 @@ def _select_and_clean(g, p, selected, push_p, push_x, positive):
         stack.extend(g.row(v, minus=True))
     _cascade(g, stack, push_p, push_x, positive)
 
-    pool = g.pools[pool_pos]
-    primer_index = g.pool_primers[pool_pos].index(p)
     probe_ids, n = g.probe_ids, g.n_primers
     witness_ids = tuple(sorted(probe_ids[v - n] for v in witnesses))
-    selected.append(SelectedPool(pool.id, primer_index, witness_ids))
+    selected.append(SelectedPool(g.pools[pos].id, p - first, witness_ids))
 
 
 def _min_degree_greedy(instance, by_probe, positive):

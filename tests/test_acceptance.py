@@ -19,7 +19,7 @@ from collections import Counter
 
 from snpmux.datasets import RandomSpec, generate_random
 from snpmux.decodability import verify_design
-from snpmux.instance import Pool, Primer, ProblemInstance, build_graph
+from snpmux.instance import Pool, Primer, ProblemInstance
 from snpmux.dnaseq import unpack_value
 from snpmux.oracles import (
     BipartiteGraph,
@@ -29,7 +29,7 @@ from snpmux.oracles import (
 )
 from snpmux.partition import coverage_curve, partition
 from snpmux.probespace import CTokenSpace, KmerSpace, count_ctokens, is_ctoken
-from snpmux.solvers import ALGORITHMS, SolverConfig, solve
+from snpmux.solvers import ALGORITHMS, SolverConfig, build_graph, solve
 
 
 def _mean(xs):

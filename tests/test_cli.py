@@ -133,6 +133,19 @@ def test_verify_needs_probe_space(tmp_path):
     assert code in (0, 1)  # depends on whether probe 3 really witnesses pool 0
 
 
+def test_verify_reads_an_empty_witness_list_as_a_violation(tmp_path):
+    # "0<TAB>0<TAB>" is what a design report writes for a pool without
+    # witnesses: three fields, the last one empty, not a malformed line
+    inst = tmp_path / "inst.txt"
+    design = tmp_path / "design.txt"
+    report = tmp_path / "verify.txt"
+    main(["gen", "--pools", "4", "--primer-length", "6", "--seed", "1", "--out", str(inst)])
+    design.write_text("0\t0\t\n")
+    assert main(["verify", "--in", str(design), "--instance", str(inst),
+                 "--probes", "kmer:3", "--redundancy", "2", "--out", str(report)]) == 1
+    assert _data_lines(report) == ["0\twitness-count\t0 witness(es), need 2"]
+
+
 def test_exit_codes_for_bad_input(tmp_path, capsys):
     # unknown probe descriptor
     inst = tmp_path / "inst.txt"

@@ -9,11 +9,11 @@ from snpmux.instance import (
     Pool,
     Primer,
     ProblemInstance,
-    build_graph,
     format_instance_text,
     parse_instance_text,
 )
 from snpmux.probespace import CTokenSpace, ExplicitSpace, KmerSpace
+from snpmux.solvers import build_graph
 
 
 def _pool(pid, *primers):
@@ -247,7 +247,7 @@ def test_graph_matches_naive_adjacency():
 
 def test_graph_memory_per_edge_is_bounded():
     # on this instance the graph kept 188 bytes per edge with a Python
-    # list or tuple per vertex and keeps 42 with flat arrays
+    # list or tuple per vertex and keeps 36.8 with flat arrays
     pools = generate_random(RandomSpec(2000, 2, 20, "all4", 97))
     inst = ProblemInstance(pools, KmerSpace(8), 2)
     tracemalloc.start()

@@ -10,7 +10,7 @@ from snpmux.decodability import (
     parse_design_lines,
     verify_design,
 )
-from snpmux.instance import Pool, Primer, ProblemInstance, build_graph
+from snpmux.instance import Pool, Primer, ProblemInstance
 from snpmux.oracles import brute_force_max_decodable
 from snpmux.partition import partition
 from snpmux.probespace import CTokenSpace, KmerSpace
@@ -20,6 +20,7 @@ from snpmux.solvers import (
     SolverConfig,
     _cascade,
     _initial_prune,
+    build_graph,
     sequential_greedy,
     solve,
 )
