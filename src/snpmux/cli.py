@@ -48,9 +48,7 @@ def _manifest(subcommand, argv, fields):
         "# version=%s" % __version__,
         "# args=%s" % " ".join(shlex.quote(a) for a in argv),
     ]
-    for key, value in fields:
-        if value is not None:
-            lines.append("# %s=%s" % (key, value))
+    lines.extend("# %s=%s" % field for field in fields)
     return lines
 
 
@@ -61,6 +59,43 @@ def _write(path, lines):
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _write_instance(path, subcommand, argv, pools, fields):
+    """Write an instance report: the manifest fields, then the sha256 of
+    the canonical instance text, then that text, formatted once."""
+    text = format_instance_text(pools)
+    lines = _manifest(subcommand, argv, fields + [("instance_sha256", fingerprint(text))])
+    lines.extend(text.splitlines())
+    _write(path, lines)
+
+
+def _run_design(args, run, **kwargs):
+    """Load a solve or partition input and time run(instance, config,
+    **kwargs): (instance, its result, seconds)."""
+    instance = _load_instance(args.infile, make_space(args.probes), args.redundancy)
+    config = SolverConfig(algorithm=args.algorithm, degree_mode=args.degree)
+    started = time.perf_counter()
+    result = run(instance, config, **kwargs)
+    return instance, result, time.perf_counter() - started
+
+
+def _design_manifest(subcommand, argv, args, instance, fields):
+    """A design report's manifest: the run's settings and instance, then fields."""
+    return _manifest(subcommand, argv, [
+        ("probes", instance.space.descriptor),
+        ("redundancy", args.redundancy),
+        ("algorithm", args.algorithm),
+        ("degree", args.degree),
+        ("instance_sha256", instance.fingerprint),
+        ("pools", instance.n_pools),
+    ] + fields)
+
+
+def _random_spec(args, n_pools, seed):
+    return RandomSpec(n_pools=n_pools, primers_per_pool=args.primers_per_pool,
+                      primer_length=args.primer_length, extension_mode=args.extensions,
+                      rng_seed=seed)
 
 
 def _load_instance(path, space, redundancy):
@@ -111,41 +146,21 @@ def cmd_probes(args, argv):
     lines = _manifest("probes", argv, [("probes", space.descriptor), ("size", space.size)])
     lines.append("size\t%d" % space.size)
     if args.roster:
-        for pid, seq in enumerate(space.probes()):
-            lines.append("%d\t%s" % (pid, seq))
+        lines.extend("%d\t%s" % entry for entry in enumerate(space.probes()))
     _write(args.out, lines)
     return 0
 
 
 def cmd_gen(args, argv):
-    spec = RandomSpec(
-        n_pools=args.pools,
-        primers_per_pool=args.primers_per_pool,
-        primer_length=args.primer_length,
-        extension_mode=args.extensions,
-        rng_seed=args.seed,
-    )
-    pools = generate_random(spec)
-    text = format_instance_text(pools)
-    lines = _manifest("gen", argv, [
-        ("pools", len(pools)),
-        ("instance_sha256", fingerprint(text)),
-    ])
-    lines.extend(text.splitlines())
-    _write(args.out, lines)
+    pools = generate_random(_random_spec(args, args.pools, args.seed))
+    _write_instance(args.out, "gen", argv, pools, [("pools", len(pools))])
     return 0
 
 
 def cmd_ingest(args, argv):
     pools, skipped = load_snp_table(args.infile, args.primer_length)
-    text = format_instance_text(pools)
-    lines = _manifest("ingest", argv, [
-        ("pools", len(pools)),
-        ("skipped", len(skipped)),
-        ("instance_sha256", fingerprint(text)),
-    ])
-    lines.extend(text.splitlines())
-    _write(args.out, lines)
+    _write_instance(args.out, "ingest", argv, pools,
+                    [("pools", len(pools)), ("skipped", len(skipped))])
     skip_lines = ["%s\t%s" % (snp_id, reason) for snp_id, reason in skipped]
     if args.skipped:
         _write(args.skipped, _manifest("ingest skipped", argv, [("skipped", len(skipped))]) + skip_lines)
@@ -156,19 +171,8 @@ def cmd_ingest(args, argv):
 
 
 def cmd_solve(args, argv):
-    space = make_space(args.probes)
-    instance = _load_instance(args.infile, space, args.redundancy)
-    config = SolverConfig(algorithm=args.algorithm, degree_mode=args.degree)
-    started = time.perf_counter()
-    result = solve(instance, config)
-    elapsed = time.perf_counter() - started
-    lines = _manifest("solve", argv, [
-        ("probes", space.descriptor),
-        ("redundancy", args.redundancy),
-        ("algorithm", args.algorithm),
-        ("degree", args.degree),
-        ("instance_sha256", instance.fingerprint),
-        ("pools", instance.n_pools),
+    instance, result, elapsed = _run_design(args, solve)
+    lines = _design_manifest("solve", argv, args, instance, [
         ("selected", result.size),
         ("pruned_empty", result.pruned_empty),
     ])
@@ -180,19 +184,8 @@ def cmd_solve(args, argv):
 
 
 def cmd_partition(args, argv):
-    space = make_space(args.probes)
-    instance = _load_instance(args.infile, space, args.redundancy)
-    config = SolverConfig(algorithm=args.algorithm, degree_mode=args.degree)
-    started = time.perf_counter()
-    report = partition(instance, config, max_arrays=args.max_arrays)
-    elapsed = time.perf_counter() - started
-    lines = _manifest("partition", argv, [
-        ("probes", space.descriptor),
-        ("redundancy", args.redundancy),
-        ("algorithm", args.algorithm),
-        ("degree", args.degree),
-        ("instance_sha256", instance.fingerprint),
-        ("pools", instance.n_pools),
+    instance, report, elapsed = _run_design(args, partition, max_arrays=args.max_arrays)
+    lines = _design_manifest("partition", argv, args, instance, [
         ("arrays", len(report.arrays)),
         ("covered", report.n_covered),
         ("uncovered", len(report.uncovered)),
@@ -206,12 +199,10 @@ def cmd_partition(args, argv):
     lines.append("# coverage")
     for i, frac in coverage_curve(report):
         lines.append("%d\t%.6f" % (i, frac))
-    if report.uncovered:
-        lines.append("# uncovered")
-        lines.extend(str(pid) for pid in report.uncovered)
-    if report.remaining:
-        lines.append("# remaining")
-        lines.extend(str(pid) for pid in report.remaining)
+    for name, pool_ids in (("uncovered", report.uncovered), ("remaining", report.remaining)):
+        if pool_ids:
+            lines.append("# " + name)
+            lines.extend(str(pid) for pid in pool_ids)
     _write(args.out, lines)
     print("partition: %d arrays covering %d of %d pools in %.2fs"
           % (len(report.arrays), report.n_covered, instance.n_pools, elapsed),
@@ -306,16 +297,13 @@ def cmd_reduce(args, argv):
     probe_lines = _manifest("reduce probes", argv, [("size", reduction.instance.space.size)])
     probe_lines.extend(reduction.instance.space.probes())
     _write(args.probes_out, probe_lines)
-    lines = _manifest("reduce", argv, [
+    _write_instance(args.out, "reduce", argv, reduction.instance.pools, [
         ("left", n_left),
         ("right", n_right),
         ("word_length", reduction.word_length),
         ("probes", "list:%s" % args.probes_out),
         ("redundancy", 1),
-        ("instance_sha256", reduction.instance.fingerprint),
     ])
-    lines.extend(format_instance_text(reduction.instance.pools).splitlines())
-    _write(args.out, lines)
     return 0
 
 
@@ -324,12 +312,11 @@ def cmd_bench(args, argv):
         raise ConfigError("replicates must be >= 1, got %d" % args.replicates)
     pool_counts = _int_list(args.pools)
     redundancies = _int_list(args.redundancy)
-    descs = args.probes.split(",")
     algorithms = args.algorithm.split(",")
     for alg in algorithms:
         if alg not in ALGORITHMS:
             raise ConfigError("unknown algorithm %r" % alg)
-    spaces = [make_space(d) for d in descs]
+    spaces = [make_space(d) for d in args.probes.split(",")]
     lines = _manifest("bench", argv, [
         ("replicates", args.replicates),
         ("primer_length", args.primer_length),
@@ -338,18 +325,11 @@ def cmd_bench(args, argv):
         ("seed", args.seed),
     ])
     lines.append("r\tpools\talgorithm\t" + "\t".join(s.descriptor for s in spaces))
-    for r in redundancies:
-        for n in pool_counts:
-            replicate_pools = [
-                generate_random(RandomSpec(
-                    n_pools=n,
-                    primers_per_pool=args.primers_per_pool,
-                    primer_length=args.primer_length,
-                    extension_mode=args.extensions,
-                    rng_seed=args.seed + i,
-                ))
-                for i in range(args.replicates)
-            ]
+    rows = [[] for _ in redundancies]  # one block per redundancy, written r-major
+    for n in pool_counts:
+        replicate_pools = [generate_random(_random_spec(args, n, args.seed + i))
+                           for i in range(args.replicates)]
+        for r, block in zip(redundancies, rows):
             for alg in algorithms:
                 config = SolverConfig(algorithm=alg, degree_mode=args.degree)
                 cells = []
@@ -364,7 +344,8 @@ def cmd_bench(args, argv):
                     print("bench: r=%d pools=%d %s %s mean=%s (%.2fs)"
                           % (r, n, alg, space.descriptor, cells[-1], elapsed),
                           file=sys.stderr)
-                lines.append("%d\t%d\t%s\t%s" % (r, n, alg, "\t".join(cells)))
+                block.append("%d\t%d\t%s\t%s" % (r, n, alg, "\t".join(cells)))
+    lines.extend(row for block in rows for row in block)
     _write(args.out, lines)
     return 0
 
@@ -384,75 +365,68 @@ def _build_parser():
     parser.add_argument("--version", action="version", version="snpmux %s" % __version__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    p = sub.add_parser("probes", help="print probe-space size and optional roster")
+    # options shared by several subcommands, each defined once
+    def options(*parents):
+        return argparse.ArgumentParser(add_help=False, parents=parents)
+
+    infile = options()
+    infile.add_argument("--in", dest="infile", required=True)
+    design = options(infile)
+    design.add_argument("--probes", required=True)
+    design.add_argument("--redundancy", type=int, default=1)
+    design.add_argument("--algorithm", choices=ALGORITHMS, default="seq")
+    degree = options()
+    degree.add_argument("--degree", choices=DEGREE_MODES, default="total")
+    primer_length = options()
+    primer_length.add_argument("--primer-length", type=int, default=20)
+    random_spec = options(primer_length)
+    random_spec.add_argument("--primers-per-pool", type=int, choices=(1, 2), default=1)
+    random_spec.add_argument("--extensions", choices=EXTENSION_MODES, default="all4")
+    random_spec.add_argument("--seed", type=int, default=0)
+
+    def command(name, func, summary, *parents):
+        p = sub.add_parser(name, help=summary, parents=parents)
+        p.set_defaults(func=func)
+        return p
+
+    p = command("probes", cmd_probes, "print probe-space size and optional roster")
     p.add_argument("--probes", required=True, help="kmer:<k>, ctoken:<c>, or list:<path>")
     p.add_argument("--roster", action="store_true", help="also print every probe with its id")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_probes)
 
-    p = sub.add_parser("gen", help="generate a seeded random instance")
+    p = command("gen", cmd_gen, "generate a seeded random instance", random_spec)
     p.add_argument("--pools", type=int, required=True)
-    p.add_argument("--primer-length", type=int, default=20)
-    p.add_argument("--primers-per-pool", type=int, choices=(1, 2), default=1)
-    p.add_argument("--extensions", choices=EXTENSION_MODES, default="all4")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_gen)
 
-    p = sub.add_parser("ingest", help="build an instance from a SNP flank table")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--primer-length", type=int, default=20)
+    p = command("ingest", cmd_ingest, "build an instance from a SNP flank table",
+                infile, primer_length)
     p.add_argument("--skipped", help="write skipped records here instead of stderr")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_ingest)
 
-    p = sub.add_parser("solve", help="select a decodable pool subset")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--probes", required=True)
-    p.add_argument("--redundancy", type=int, default=1)
-    p.add_argument("--algorithm", choices=ALGORITHMS, default="seq")
-    p.add_argument("--degree", choices=DEGREE_MODES, default="total")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_solve)
+    command("solve", cmd_solve, "select a decodable pool subset", design, degree)
 
-    p = sub.add_parser("partition", help="cover an instance with several arrays")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--probes", required=True)
-    p.add_argument("--redundancy", type=int, default=1)
-    p.add_argument("--algorithm", choices=ALGORITHMS, default="seq")
-    p.add_argument("--degree", choices=DEGREE_MODES, default="total")
+    p = command("partition", cmd_partition, "cover an instance with several arrays",
+                design, degree)
     p.add_argument("--max-arrays", type=int)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_partition)
 
-    p = sub.add_parser("verify", help="independently verify a design report")
+    p = command("verify", cmd_verify, "independently verify a design report")
     p.add_argument("--in", dest="infile", required=True, help="design report to check")
     p.add_argument("--instance", required=True, help="instance text the design refers to")
     p.add_argument("--probes", help="override the report manifest")
     p.add_argument("--redundancy", type=int, help="override the report manifest")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("reduce", help="encode a bipartite matching instance as a design instance")
+    p = command("reduce", cmd_reduce,
+                "encode a bipartite matching instance as a design instance")
     p.add_argument("--in", dest="infile", required=True, help="edge list: u<TAB>v per line")
     p.add_argument("--probes-out", required=True, help="write the probe list here")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_reduce)
 
-    p = sub.add_parser("bench", help="run a solver grid over seeded random instances")
+    p = command("bench", cmd_bench, "run a solver grid over seeded random instances",
+                random_spec, degree)
     p.add_argument("--pools", required=True, help="comma-separated pool counts")
     p.add_argument("--redundancy", required=True, help="comma-separated redundancies")
     p.add_argument("--probes", required=True, help="comma-separated probe spaces")
     p.add_argument("--algorithm", required=True, help="comma-separated algorithms")
     p.add_argument("--replicates", type=int, default=10)
-    p.add_argument("--primer-length", type=int, default=20)
-    p.add_argument("--primers-per-pool", type=int, choices=(1, 2), default=1)
-    p.add_argument("--extensions", choices=EXTENSION_MODES, default="all4")
-    p.add_argument("--degree", choices=DEGREE_MODES, default="total")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_bench)
 
+    for p in sub.choices.values():
+        p.add_argument("--out")
     return parser
 
 

@@ -12,6 +12,7 @@ state with the solvers, so it can be used as an acceptance gate for any
 claimed design.
 """
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .instance import InstanceFormatError, records
@@ -151,9 +152,10 @@ def verify_design(result, instance):
     the result beyond the claims themselves. Every violation found is
     reported: structural problems (unknown pools, bad primer indices,
     out-of-range probe ids, duplicate selections), informative-probe
-    counts below the instance redundancy, and witness sets with fewer
-    distinct ids than that, outside their primer's spectrum, reachable by
-    another selected primer, or overlapping another pool's witnesses.
+    counts below the instance redundancy, and witness lists with fewer
+    distinct ids than that or with a repeated id, and witnesses outside
+    their primer's spectrum, reachable by another selected primer, or
+    overlapping another pool's witnesses.
     """
     space = instance.space
     r = instance.redundancy
@@ -203,6 +205,10 @@ def verify_design(result, instance):
         if len(witnesses) < r:
             add(Violation(entry.pool_id, KIND_WITNESS_COUNT,
                           "%d witness(es), need %d" % (len(witnesses), r)))
+        elif len(witnesses) < len(entry.witnesses):
+            repeated = [str(w) for w, n in Counter(entry.witnesses).items() if n > 1]
+            add(Violation(entry.pool_id, KIND_WITNESS_COUNT,
+                          "witness %s listed more than once" % ",".join(repeated)))
         for w in witnesses:
             if w not in spec:
                 add(Violation(entry.pool_id, KIND_WITNESS_MEMBER,

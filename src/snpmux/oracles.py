@@ -144,10 +144,9 @@ def brute_force_max_decodable(instance, cap=DEFAULT_ENUMERATION_CAP):
 
 @dataclass(frozen=True)
 class ReductionOutput:
-    """Reduced instance plus the right-vertex-to-word assignment."""
+    """Reduced instance plus the length of its right-vertex words."""
 
     instance: ProblemInstance
-    probe_assignment: dict
     word_length: int
 
 
@@ -173,16 +172,12 @@ def reduce_matching_to_design(graph):
             raise ValueError("right vertex %d is isolated" % v)
 
     bits = max(1, (graph.n_right - 1).bit_length())
-    words = {}
-    for v in range(graph.n_right):
-        words[v] = "".join("T" if (v >> (bits - 1 - t)) & 1 else "A" for t in range(bits))
-    space = ExplicitSpace(
-        [reverse_complement(words[v]) for v in range(graph.n_right)],
-        descriptor="list:<reduction>",
-    )
+    words = ["".join("T" if (v >> (bits - 1 - t)) & 1 else "A" for t in range(bits))
+             for v in range(graph.n_right)]
+    space = ExplicitSpace([reverse_complement(w) for w in words], descriptor="list:<reduction>")
     pools = []
     for u, nbrs in enumerate(neighbors):
         seq = "C".join(words[v] for v in nbrs)
         pools.append(Pool(id=u, primers=(Primer(seq, "CG", ".", u),)))
     instance = ProblemInstance(pools, space, redundancy=1)
-    return ReductionOutput(instance=instance, probe_assignment=words, word_length=bits)
+    return ReductionOutput(instance=instance, word_length=bits)

@@ -146,6 +146,23 @@ def test_verify_reads_an_empty_witness_list_as_a_violation(tmp_path):
     assert _data_lines(report) == ["0\twitness-count\t0 witness(es), need 2"]
 
 
+def test_verify_flags_a_repeated_witness_id(tmp_path):
+    # two distinct ids meet r=2, but a list that names one of them twice
+    # is not a certificate a solver writes
+    inst = tmp_path / "inst.txt"
+    design = tmp_path / "design.txt"
+    report = tmp_path / "verify.txt"
+    main(["gen", "--pools", "30", "--primer-length", "10", "--seed", "3", "--out", str(inst)])
+    main(["solve", "--in", str(inst), "--probes", "kmer:5", "--redundancy", "2",
+          "--out", str(design)])
+    text = design.read_text()
+    assert "\n0\t0\t74,298\n" in text
+    design.write_text(text.replace("\n0\t0\t74,298\n", "\n0\t0\t74,74,298\n"))
+    assert main(["verify", "--in", str(design), "--instance", str(inst),
+                 "--out", str(report)]) == 1
+    assert _data_lines(report) == ["0\twitness-count\twitness 74 listed more than once"]
+
+
 def test_exit_codes_for_bad_input(tmp_path, capsys):
     # unknown probe descriptor
     inst = tmp_path / "inst.txt"
@@ -350,6 +367,36 @@ def test_partition_report_structure(tmp_path):
                  if l and not l.startswith("#") and len(l.split("\t")) == 2]
     assert fractions == sorted(fractions)
     assert fractions[-1] <= 1.0
+
+
+def test_partition_report_lists_uncovered_and_remaining_pools(tmp_path):
+    # under kmer:2 at r=2, AAAA has one spectrum probe and is undecodable
+    # alone; each other primer appears twice, so one array takes one copy
+    inst = tmp_path / "inst.txt"
+    out = tmp_path / "part.txt"
+    seqs = ["AAAA", "ACGT", "ACGT", "CAGT", "CAGT", "GATC", "GATC"]
+    inst.write_text("".join("%d\t.\t%s\t%s\n" % (pid, seq, "C" if pid == 0 else "A")
+                            for pid, seq in enumerate(seqs)))
+    assert main(["partition", "--in", str(inst), "--probes", "kmer:2", "--redundancy", "2",
+                 "--max-arrays", "1", "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    manifest = dict(re.fullmatch(r"# (\w+)=(.*)", l).groups() for l in lines
+                    if re.fullmatch(r"# \w+=.*", l))
+    sections, name = {}, None
+    for line in lines[next(i for i, l in enumerate(lines) if l.startswith("# array\t")):]:
+        if line.startswith("# "):
+            name = line[2:].split("\t")[0]
+            sections[name] = []
+        else:
+            sections[name].append(line)
+    assert list(sections) == ["array", "coverage", "uncovered", "remaining"]
+    arrayed = [int(l.split("\t")[0]) for l in sections["array"]]
+    assert sections["uncovered"] == ["0"]
+    assert sections["remaining"] == [str(pid) for pid in range(1, 7) if pid not in arrayed]
+    assert manifest["arrays"] == "1" == str(sum(l.startswith("# array\t") for l in lines))
+    assert manifest["uncovered"] == str(len(sections["uncovered"]))
+    assert manifest["remaining"] == str(len(sections["remaining"]))
+    assert len(sections["remaining"]) == 4
 
 
 def test_ingest_writes_instance_and_skips(tmp_path):

@@ -174,6 +174,17 @@ def test_verify_design_counts_distinct_witnesses():
     assert [v.kind for v in report.violations] == ["witness-count", "witness-membership"]
 
 
+def test_verify_design_flags_a_repeated_witness_id():
+    # enough distinct ids, but one listed twice: one violation naming it
+    space = KmerSpace(2)
+    inst = ProblemInstance([Pool(0, (Primer("ACGT", "A", ".", 0),))], space, 2)
+    report = verify_design(DesignResult((SelectedPool(0, 0, (1, 1, 6)),)), inst)
+    assert [v.to_line() for v in report.violations] == [
+        "0\twitness-count\twitness 1 listed more than once"]
+    report = verify_design(DesignResult((SelectedPool(0, 0, (1, 1, 6, 6)),)), inst)
+    assert [v.detail for v in report.violations] == ["witness 1,6 listed more than once"]
+
+
 def test_verify_design_cross_hybridization():
     # identical primers in both pools: every probe is covered twice
     space = KmerSpace(2)
