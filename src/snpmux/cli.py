@@ -24,7 +24,6 @@ from .decodability import (
     parse_design_lines,
     verify_design,
 )
-from .dnaseq import SequenceError
 from .instance import (
     InstanceFormatError,
     ProblemInstance,
@@ -39,7 +38,7 @@ from .partition import coverage_curve, partition
 from .probespace import ConfigError, make_space
 from .solvers import ALGORITHMS, DEGREE_MODES, SolverConfig, solve
 
-USAGE_ERRORS = (ConfigError, InstanceFormatError, SequenceError, ValueError, OSError)
+USAGE_ERRORS = (ValueError, OSError)
 
 
 def _manifest(subcommand, argv, fields):
@@ -103,35 +102,34 @@ def _load_instance(path, space, redundancy):
 
 
 def _read_design(path):
-    """(manifest, manifest_lines, entries): the value and the line of each
-    '# key=value' comment's key, the first such line winning, and the
-    design entries."""
+    """(manifest, entries): the value and the line of each '# key=value'
+    comment's key, the first such line winning, and the design entries."""
     comments = []
     entries = parse_design_lines(read_text(path), comments)
-    manifest, manifest_lines = {}, {}
+    manifest = {}
     for line_no, body in comments:
         key, sep, value = body.partition("=")
-        key = key.strip()
-        if sep and key not in manifest:
-            manifest[key] = value.strip()
-            manifest_lines[key] = line_no
-    return manifest, manifest_lines, entries
+        if sep:
+            manifest.setdefault(key.strip(), (value.strip(), line_no))
+    return manifest, entries
 
 
-def _setting(parse, value, line_no):
-    """parse(value); an error in a manifest value names its line, and an
-    override (line_no None) is reported as it is."""
+def _setting(parse, override, manifest, key, missing):
+    """parse(override) if given, even empty; else parse the manifest value,
+    an error naming its line; else raise the missing error."""
+    if override is not None:
+        return parse(override)
+    if key not in manifest:
+        raise ConfigError(missing)
+    value, line_no = manifest[key]
     try:
         return parse(value)
     except (ConfigError, OSError) as exc:
-        if line_no is None:
-            raise
         raise InstanceFormatError(str(exc), line_no) from None
 
 
 def _redundancy(value):
-    """value as a redundancy: an integer >= 1, checked before the instance
-    is read so that a manifest value's error can name its line."""
+    """value as a redundancy: an integer >= 1, checked before any input is read."""
     try:
         r = int(value)
     except ValueError:
@@ -211,23 +209,18 @@ def cmd_partition(args, argv):
 
 
 def cmd_verify(args, argv):
-    manifest, manifest_lines, entries = _read_design(args.infile)
-    probes = args.probes or manifest.get("probes")
-    if not probes:
-        raise ConfigError("no probe space: pass --probes or use a report with a manifest")
-    redundancy = args.redundancy if args.redundancy is not None else manifest.get("redundancy")
-    if redundancy is None:
-        raise ConfigError("no redundancy: pass --redundancy or use a report with a manifest")
-    space = _setting(make_space, probes, None if args.probes else manifest_lines["probes"])
-    r = _setting(_redundancy, redundancy,
-                 None if args.redundancy is not None else manifest_lines["redundancy"])
+    manifest, entries = _read_design(args.infile)
+    space = _setting(make_space, args.probes, manifest, "probes",
+                     "no probe space: pass --probes or use a report with a manifest")
+    r = _setting(_redundancy, args.redundancy, manifest, "redundancy",
+                 "no redundancy: pass --redundancy or use a report with a manifest")
     instance = _load_instance(args.instance, space, r)
-    result = DesignResult(tuple(entries), fingerprint=manifest.get("instance_sha256"))
+    result = DesignResult(tuple(entries), fingerprint=manifest.get("instance_sha256", (None,))[0])
     report = verify_design(result, instance)
     report.violations.extend(_manifest_violations(manifest, len(entries), instance.n_pools))
     lines = _manifest("verify", argv, [
         ("probes", space.descriptor),
-        ("redundancy", redundancy),
+        ("redundancy", r),
         ("instance_sha256", instance.fingerprint),
         ("checked_pools", report.checked_pools),
         ("violations", len(report.violations)),
@@ -248,7 +241,7 @@ def _manifest_violations(manifest, n_entries, n_pools):
     out = []
     for key, actual, what in (("selected", n_entries, "the body has %d entries"),
                               ("pools", n_pools, "the instance has %d pools")):
-        stated = manifest.get(key)
+        stated = manifest.get(key, (None,))[0]
         if stated is not None and stated != str(actual):
             out.append(Violation(-1, KIND_STRUCTURE,
                                  "manifest states %s=%r but %s" % (key, stated, what % actual)))
@@ -310,13 +303,12 @@ def cmd_reduce(args, argv):
 def cmd_bench(args, argv):
     if args.replicates < 1:
         raise ConfigError("replicates must be >= 1, got %d" % args.replicates)
-    pool_counts = _int_list(args.pools)
-    redundancies = _int_list(args.redundancy)
-    algorithms = args.algorithm.split(",")
-    for alg in algorithms:
-        if alg not in ALGORITHMS:
-            raise ConfigError("unknown algorithm %r" % alg)
+    redundancies = [_redundancy(x) for x in args.redundancy.split(",")]
+    configs = [SolverConfig(algorithm=alg, degree_mode=args.degree)
+               for alg in args.algorithm.split(",")]
     spaces = [make_space(d) for d in args.probes.split(",")]
+    specs = [[_random_spec(args, n, args.seed + i) for i in range(args.replicates)]
+             for n in _int_list(args.pools)]
     lines = _manifest("bench", argv, [
         ("replicates", args.replicates),
         ("primer_length", args.primer_length),
@@ -326,12 +318,11 @@ def cmd_bench(args, argv):
     ])
     lines.append("r\tpools\talgorithm\t" + "\t".join(s.descriptor for s in spaces))
     rows = [[] for _ in redundancies]  # one block per redundancy, written r-major
-    for n in pool_counts:
-        replicate_pools = [generate_random(_random_spec(args, n, args.seed + i))
-                           for i in range(args.replicates)]
+    for replicate_specs in specs:
+        replicate_pools = [generate_random(spec) for spec in replicate_specs]
+        n = replicate_specs[0].n_pools
         for r, block in zip(redundancies, rows):
-            for alg in algorithms:
-                config = SolverConfig(algorithm=alg, degree_mode=args.degree)
+            for config in configs:
                 cells = []
                 for space in spaces:
                     started = time.perf_counter()
@@ -342,9 +333,9 @@ def cmd_bench(args, argv):
                     elapsed = time.perf_counter() - started
                     cells.append("%.1f" % (sum(sizes) / len(sizes)))
                     print("bench: r=%d pools=%d %s %s mean=%s (%.2fs)"
-                          % (r, n, alg, space.descriptor, cells[-1], elapsed),
+                          % (r, n, config.algorithm, space.descriptor, cells[-1], elapsed),
                           file=sys.stderr)
-                block.append("%d\t%d\t%s\t%s" % (r, n, alg, "\t".join(cells)))
+                block.append("%d\t%d\t%s\t%s" % (r, n, config.algorithm, "\t".join(cells)))
     lines.extend(row for block in rows for row in block)
     _write(args.out, lines)
     return 0

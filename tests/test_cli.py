@@ -163,6 +163,19 @@ def test_verify_flags_a_repeated_witness_id(tmp_path):
     assert _data_lines(report) == ["0\twitness-count\twitness 74 listed more than once"]
 
 
+def test_verify_checks_an_empty_override(tmp_path, capsys):
+    # an override that is given replaces the manifest value, even when empty
+    inst = tmp_path / "inst.txt"
+    design = tmp_path / "design.txt"
+    main(["gen", "--pools", "50", "--primer-length", "10", "--seed", "3", "--out", str(inst)])
+    main(["solve", "--in", str(inst), "--probes", "kmer:5", "--redundancy", "2",
+          "--out", str(design)])
+    capsys.readouterr()
+    assert main(["verify", "--in", str(design), "--instance", str(inst), "--probes", ""]) == 2
+    assert capsys.readouterr().err == (
+        "snpmux: error: probe space descriptor must look like kind:arg, got ''\n")
+
+
 def test_exit_codes_for_bad_input(tmp_path, capsys):
     # unknown probe descriptor
     inst = tmp_path / "inst.txt"
@@ -212,6 +225,8 @@ def test_exit_codes_for_bad_input(tmp_path, capsys):
             ("# probes=kmer:3\n# redundancy=abc\n", "line 2: redundancy must be an integer"
              " >= 1, got 'abc'"),
             ("# redundancy=1\n\n# probes=kmer:99\n", "line 3: k must be in [1, 16], got 99"),
+            ("# redundancy=1\n# probes=\n", "line 2: probe space descriptor must look like"
+             " kind:arg, got ''"),
             ("# probes=kmer:3\n# redundancy=0\n", "line 2: redundancy must be an integer"
              " >= 1, got '0'")):
         design.write_text(manifest + "0\t0\t3\n")
@@ -538,3 +553,18 @@ def test_bench_grid_shape(tmp_path):
         float(fields[3]), float(fields[4])
     assert main(["bench", "--pools", "4", "--redundancy", "1",
                  "--probes", "kmer:4", "--algorithm", "wat"]) == 2
+
+
+def test_bench_checks_its_grid_before_generating(capsys):
+    # a bad value stops the run before any replicate is generated or solved
+    argv = ["bench", "--probes", "kmer:5", "--primer-length", "10", "--replicates", "1"]
+    for grid, err in (
+            (["--pools", "20", "--redundancy", "1,0", "--algorithm", "seq"],
+             "redundancy must be an integer >= 1, got '0'"),
+            (["--pools", "20", "--redundancy", "1", "--algorithm", "seq,bogus"],
+             "algorithm must be one of ('seq', 'minprimer', 'minprobe'), got 'bogus'"),
+            (["--pools", "20,-1", "--redundancy", "1", "--algorithm", "seq"],
+             "n_pools must be >= 0, got -1")):
+        capsys.readouterr()
+        assert main(argv + grid) == 2
+        assert capsys.readouterr().err == "snpmux: error: %s\n" % err
