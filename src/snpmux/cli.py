@@ -36,7 +36,7 @@ from .instance import (
 from .oracles import BipartiteGraph, reduce_matching_to_design
 from .partition import coverage_curve, partition
 from .probespace import ConfigError, make_space
-from .solvers import ALGORITHMS, DEGREE_MODES, SolverConfig, solve
+from .solvers import ALGORITHMS, SolverConfig, solve
 
 USAGE_ERRORS = (ValueError, OSError)
 
@@ -73,7 +73,7 @@ def _run_design(args, run, **kwargs):
     """Load a solve or partition input and time run(instance, config,
     **kwargs): (instance, its result, seconds)."""
     instance = _load_instance(args.infile, make_space(args.probes), args.redundancy)
-    config = SolverConfig(algorithm=args.algorithm, degree_mode=args.degree)
+    config = SolverConfig(algorithm=args.algorithm)
     started = time.perf_counter()
     result = run(instance, config, **kwargs)
     return instance, result, time.perf_counter() - started
@@ -85,7 +85,6 @@ def _design_manifest(subcommand, argv, args, instance, fields):
         ("probes", instance.space.descriptor),
         ("redundancy", args.redundancy),
         ("algorithm", args.algorithm),
-        ("degree", args.degree),
         ("instance_sha256", instance.fingerprint),
         ("pools", instance.n_pools),
     ] + fields)
@@ -304,8 +303,7 @@ def cmd_bench(args, argv):
     if args.replicates < 1:
         raise ConfigError("replicates must be >= 1, got %d" % args.replicates)
     redundancies = [_redundancy(x) for x in args.redundancy.split(",")]
-    configs = [SolverConfig(algorithm=alg, degree_mode=args.degree)
-               for alg in args.algorithm.split(",")]
+    configs = [SolverConfig(algorithm=alg) for alg in args.algorithm.split(",")]
     spaces = [make_space(d) for d in args.probes.split(",")]
     specs = [[_random_spec(args, n, args.seed + i) for i in range(args.replicates)]
              for n in _int_list(args.pools)]
@@ -366,8 +364,6 @@ def _build_parser():
     design.add_argument("--probes", required=True)
     design.add_argument("--redundancy", type=int, default=1)
     design.add_argument("--algorithm", choices=ALGORITHMS, default="seq")
-    degree = options()
-    degree.add_argument("--degree", choices=DEGREE_MODES, default="total")
     primer_length = options()
     primer_length.add_argument("--primer-length", type=int, default=20)
     random_spec = options(primer_length)
@@ -391,10 +387,9 @@ def _build_parser():
                 infile, primer_length)
     p.add_argument("--skipped", help="write skipped records here instead of stderr")
 
-    command("solve", cmd_solve, "select a decodable pool subset", design, degree)
+    command("solve", cmd_solve, "select a decodable pool subset", design)
 
-    p = command("partition", cmd_partition, "cover an instance with several arrays",
-                design, degree)
+    p = command("partition", cmd_partition, "cover an instance with several arrays", design)
     p.add_argument("--max-arrays", type=int)
 
     p = command("verify", cmd_verify, "independently verify a design report")
@@ -409,7 +404,7 @@ def _build_parser():
     p.add_argument("--probes-out", required=True, help="write the probe list here")
 
     p = command("bench", cmd_bench, "run a solver grid over seeded random instances",
-                random_spec, degree)
+                random_spec)
     p.add_argument("--pools", required=True, help="comma-separated pool counts")
     p.add_argument("--redundancy", required=True, help="comma-separated redundancies")
     p.add_argument("--probes", required=True, help="comma-separated probe spaces")

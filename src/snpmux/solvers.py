@@ -18,7 +18,8 @@ spectrum of the unextended primer (the informative side) and N-(p) holds
 the probes gained only through extension products. Only probes with at
 least one incident edge are materialized. Both sides share one vertex
 space: primers first, in pool order, then probes in increasing probe-id
-order, so every deletion rule reads the same arrays.
+order, so every deletion rule reads the same arrays. A vertex's degree
+counts its live spectrum and extension-only edges alike.
 
 They are one loop over a binary heap of (key, vertex) pairs packed
 into single ints. Degrees only decrease, so every decrease pushes a
@@ -46,27 +47,18 @@ from .decodability import DesignResult, SelectedPool
 logger = logging.getLogger(__name__)
 
 ALGORITHMS = ("seq", "minprimer", "minprobe")
-DEGREE_MODES = ("total", "positive")
 _SHARED = -1  # sequential_greedy: a covered probe informative for nobody
 
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Solver choice plus how vertex degree is counted.
-
-    degree_mode "total" counts both spectrum and extension-only edges
-    when picking minimum-degree vertices; "positive" counts only the
-    unextended-spectrum side. It affects minprimer/minprobe only.
-    """
+    """The solver to run, checked on construction: one of ALGORITHMS."""
 
     algorithm: str = "seq"
-    degree_mode: str = "total"
 
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
             raise ValueError("algorithm must be one of %s, got %r" % (ALGORITHMS, self.algorithm))
-        if self.degree_mode not in DEGREE_MODES:
-            raise ValueError("degree_mode must be one of %s, got %r" % (DEGREE_MODES, self.degree_mode))
 
 
 def solve(instance, config=None):
@@ -74,8 +66,7 @@ def solve(instance, config=None):
     config = config or SolverConfig()
     if config.algorithm == "seq":
         return sequential_greedy(instance)
-    return _min_degree_greedy(instance, config.algorithm == "minprobe",
-                              config.degree_mode == "positive")
+    return _min_degree_greedy(instance, config.algorithm == "minprobe")
 
 
 def sequential_greedy(instance):
@@ -262,7 +253,7 @@ def build_graph(instance):
     return HybridizationGraph(instance)
 
 
-def _cascade(g, stack, push_p=None, push_x=None, positive=False):
+def _cascade(g, stack, push_p=None, push_x=None):
     """Delete the vertices on the stack until the degree invariants hold again.
 
     Deleting a vertex lowers its live neighbours' degrees, and a
@@ -270,8 +261,7 @@ def _cascade(g, stack, push_p=None, push_x=None, positive=False):
     deleted in turn: r for a primer (the neighbour of a deleted probe),
     1 for a probe (the neighbour of a deleted primer). Already-dead
     vertices are skipped, so duplicates are harmless. push_p/push_x, when
-    given, receive every live primer/probe vertex whose degree key (as
-    positive counts it) drops.
+    given, receive every live primer/probe vertex whose d_total drops.
     """
     r, n = g.r, g.n_primers
     alive, d_plus, d_total = g.alive, g.d_plus, g.d_total
@@ -299,7 +289,7 @@ def _cascade(g, stack, push_p=None, push_x=None, positive=False):
         for w in nb_minus[off_minus[u]:off_minus[u + 1]]:
             if alive[w]:
                 d_total[w] -= 1
-                if push is not None and not positive:
+                if push is not None:
                     push(w)
 
 
@@ -311,7 +301,7 @@ def _initial_prune(g):
         _cascade(g, stack)
 
 
-def _select_and_clean(g, p, selected, push_p, push_x, positive):
+def _select_and_clean(g, p, selected, push_p, push_x):
     """Select primer p as its pool's representative and clean its region.
 
     The selected primer is retired, not removed: it never enters a
@@ -334,12 +324,12 @@ def _select_and_clean(g, p, selected, push_p, push_x, positive):
 
     stack = [q for q in range(first, pool_start[pos + 1]) if alive[q]]
     if stack:
-        _cascade(g, stack, push_p, push_x, positive)
+        _cascade(g, stack, push_p, push_x)
 
     live_np = [v for v in g.row(p) if alive[v]]
     assert len(live_np) >= g.r, "selected primer lost its witnesses"
     # stable sort of ascending vertices: ties stay in vertex order
-    live_np.sort(key=(g.d_plus if positive else g.d_total).__getitem__)
+    live_np.sort(key=g.d_total.__getitem__)
     witnesses = live_np[:g.r]
     for v in witnesses:
         alive[v] = 0  # consumed; no sweep may delete another witness
@@ -348,14 +338,14 @@ def _select_and_clean(g, p, selected, push_p, push_x, positive):
     for v in witnesses:
         stack.extend(g.row(v))
         stack.extend(g.row(v, minus=True))
-    _cascade(g, stack, push_p, push_x, positive)
+    _cascade(g, stack, push_p, push_x)
 
     probe_ids, n = g.probe_ids, g.n_primers
     witness_ids = tuple(sorted(probe_ids[v - n] for v in witnesses))
     selected.append(SelectedPool(g.pools[pos].id, p - first, witness_ids))
 
 
-def _min_degree_greedy(instance, by_probe, positive):
+def _min_degree_greedy(instance, by_probe):
     """Repeatedly pop a minimum-degree live vertex and select a primer for it.
 
     minprimer pops primers and selects the popped one; minprobe
@@ -365,7 +355,7 @@ def _min_degree_greedy(instance, by_probe, positive):
     g = build_graph(instance)
     _initial_prune(g)
     alive = g.alive
-    key = g.d_plus if positive else g.d_total
+    key = g.d_total
     n, size = g.n_primers, len(alive)
     side = range(n, size) if by_probe else range(n)
     heap = [key[u] * size + u for u in side if alive[u]]
@@ -383,6 +373,6 @@ def _min_degree_greedy(instance, by_probe, positive):
         if by_probe:
             # rows ascend, so min keeps the lowest vertex on ties
             u = min((q for q in g.row(u) if alive[q]), key=key.__getitem__)
-        _select_and_clean(g, u, selected, push_p, push_x, positive)
+        _select_and_clean(g, u, selected, push_p, push_x)
     return DesignResult(tuple(selected), fingerprint=instance.fingerprint,
                         pruned_empty=g.pruned_empty)

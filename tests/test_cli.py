@@ -100,8 +100,9 @@ def test_verify_checks_manifest_counts(tmp_path, capsys):
     lines = design.read_text().splitlines()
     assert "# selected=146" in lines
     report = tmp_path / "verify.txt"
-    # cut to its first 40 lines, the body no longer holds the selected pools
-    design.write_text("\n".join(lines[:40]) + "\n")
+    # cut to its manifest and 29 entries, the body no longer holds the selected pools
+    head = next(i for i, l in enumerate(lines) if not l.startswith("#"))
+    design.write_text("\n".join(lines[:head + 29]) + "\n")
     assert main(["verify", "--in", str(design), "--instance", str(inst),
                  "--out", str(report)]) == 1
     assert "-1\tstructure\tmanifest states selected='146' but the body has 29 entries" \
@@ -118,6 +119,28 @@ def test_verify_checks_manifest_counts(tmp_path, capsys):
     assert main(["verify", "--in", str(design), "--instance", str(inst),
                  "--out", str(report)]) == 0
     assert capsys.readouterr().err.count("fingerprint check skipped") == 1
+
+
+@pytest.mark.parametrize("mode", ["total", "positive"])
+def test_verify_accepts_an_older_report_with_a_degree_line(tmp_path, mode):
+    # earlier versions wrote '# degree=' after '# algorithm='; verify ignores it
+    inst = tmp_path / "inst.txt"
+    design = tmp_path / "design.txt"
+    old = tmp_path / "old.txt"
+    assert main(["gen", "--pools", "60", "--primers-per-pool", "2", "--primer-length", "10",
+                 "--seed", "4", "--out", str(inst)]) == 0
+    assert main(["solve", "--in", str(inst), "--probes", "kmer:5", "--redundancy", "2",
+                 "--algorithm", "minprobe", "--out", str(design)]) == 0
+    lines = design.read_text().splitlines()
+    at = lines.index("# algorithm=minprobe") + 1
+    old.write_text("\n".join(lines[:at] + ["# degree=" + mode] + lines[at:]) + "\n")
+    reports = []
+    for path in (design, old):
+        report = tmp_path / ("verify_" + path.name)
+        assert main(["verify", "--in", str(path), "--instance", str(inst),
+                     "--out", str(report)]) == 0
+        reports.append([l for l in report.read_text().splitlines() if not l.startswith("# args=")])
+    assert reports[0] == reports[1]
 
 
 def test_verify_needs_probe_space(tmp_path):

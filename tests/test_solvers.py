@@ -16,7 +16,6 @@ from snpmux.partition import partition
 from snpmux.probespace import CTokenSpace, KmerSpace
 from snpmux.solvers import (
     ALGORITHMS,
-    DEGREE_MODES,
     SolverConfig,
     _cascade,
     _initial_prune,
@@ -52,8 +51,6 @@ def _random_instance(rng, n_pools, k, r, max_len=8):
 def test_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(algorithm="magic")
-    with pytest.raises(ValueError):
-        SolverConfig(degree_mode="sideways")
 
 
 def test_duplicate_pools_conflict():
@@ -157,18 +154,8 @@ def test_solvers_are_deterministic():
     rng = random.Random(53)
     inst = _random_instance(rng, 25, 3, 1)
     for alg in ALGORITHMS:
-        for mode in ("total", "positive"):
-            cfg = SolverConfig(algorithm=alg, degree_mode=mode)
-            assert solve(inst, cfg) == solve(inst, cfg), (alg, mode)
-
-
-def test_degree_modes_both_verify():
-    rng = random.Random(59)
-    inst = _random_instance(rng, 30, 2, 1)
-    for alg in ("minprimer", "minprobe"):
-        for mode in ("total", "positive"):
-            res = solve(inst, SolverConfig(algorithm=alg, degree_mode=mode))
-            assert verify_design(res, inst).ok, (alg, mode)
+        cfg = SolverConfig(algorithm=alg)
+        assert solve(inst, cfg) == solve(inst, cfg), alg
 
 
 def test_empty_and_hopeless_instances():
@@ -268,11 +255,10 @@ def test_cascade_keeps_degrees_equal_to_a_recount():
     rng = random.Random(67)
     for trial in range(40):
         r = 1 + trial % 2
-        positive = trial % 4 >= 2
         g = build_graph(_random_instance(rng, 12, 3, r))
         _initial_prune(g)
         _assert_degrees_recount(g)
-        n, key = g.n_primers, (g.d_plus if positive else g.d_total)
+        n, key = g.n_primers, g.d_total
         pushed = set()
 
         def recorder(primer_side):
@@ -287,7 +273,7 @@ def test_cascade_keeps_degrees_equal_to_a_recount():
                 break
             before = list(key)
             pushed.clear()
-            _cascade(g, [rng.choice(live)], recorder(True), recorder(False), positive)
+            _cascade(g, [rng.choice(live)], recorder(True), recorder(False))
             _assert_degrees_recount(g)
             # every live vertex whose key dropped was pushed with its new key
             for u in live:
@@ -298,18 +284,12 @@ def test_cascade_keeps_degrees_equal_to_a_recount():
 # sha256 of "\n".join(result.to_lines()) for 400 pools x 2 primers of
 # length 12 with "pair" extensions; a changed tie-break moves these.
 _PINNED_DESIGNS = {
-    (5, 2, "seq", "total"): "beeacd9e72886b52b7cd2ad8819e3348396989cb76e0d42186b14f1b8213c6c3",
-    (5, 2, "seq", "positive"): "beeacd9e72886b52b7cd2ad8819e3348396989cb76e0d42186b14f1b8213c6c3",
-    (5, 2, "minprimer", "total"): "0980efbd681d23b160061fd2aa6a72b8a1c453a459f93d51ef479d83d2aafd7a",
-    (5, 2, "minprimer", "positive"): "18f6d789dbbb480274bf0085785ec0d4d270801ffde6740d916b9cc29a24db1c",
-    (5, 2, "minprobe", "total"): "6bf6ab94ed46902b7700d1312c27237d16c7c46b0fcfd89da8ad41dfedac3c85",
-    (5, 2, "minprobe", "positive"): "d8eb5adc86de4467a6805a15f0181b700b1c8f372666e97a4a30cd09c87ec09b",
-    (4, 1, "seq", "total"): "3efc1a19ba4d780bd11430279a9d60ab555f4f96c2d653c14e8ccb296bcc8bc6",
-    (4, 1, "seq", "positive"): "3efc1a19ba4d780bd11430279a9d60ab555f4f96c2d653c14e8ccb296bcc8bc6",
-    (4, 1, "minprimer", "total"): "ecd371482407e91b27c8c33b210d5530369db793391ad533b53451dd5163537a",
-    (4, 1, "minprimer", "positive"): "8ae21ad8a37eb390f019238019aa30f8280982b31b45a59d515d7b2de4278781",
-    (4, 1, "minprobe", "total"): "4e09af3afe57a7faa2ec11892ca41e64a1fb9bec3dc5133ea221e10944058bbe",
-    (4, 1, "minprobe", "positive"): "87f0a6d3e0fafd41bcfb2f0855d5bf346d6df8712d7adb7cd3ca1368c74321be",
+    (5, 2, "seq"): "beeacd9e72886b52b7cd2ad8819e3348396989cb76e0d42186b14f1b8213c6c3",
+    (5, 2, "minprimer"): "0980efbd681d23b160061fd2aa6a72b8a1c453a459f93d51ef479d83d2aafd7a",
+    (5, 2, "minprobe"): "6bf6ab94ed46902b7700d1312c27237d16c7c46b0fcfd89da8ad41dfedac3c85",
+    (4, 1, "seq"): "3efc1a19ba4d780bd11430279a9d60ab555f4f96c2d653c14e8ccb296bcc8bc6",
+    (4, 1, "minprimer"): "ecd371482407e91b27c8c33b210d5530369db793391ad533b53451dd5163537a",
+    (4, 1, "minprobe"): "4e09af3afe57a7faa2ec11892ca41e64a1fb9bec3dc5133ea221e10944058bbe",
 }
 _PINNED_PARTITION = "42cf21926d7d785020ab69efc8a854ec57788424af92a926c66e39e2703e60ea"
 # seq on the c-token family the benchmark's seq workload uses, and the seq
@@ -340,9 +320,8 @@ def test_designs_match_pinned_hashes():
     for k, r, seed in ((5, 2, 71), (4, 1, 73)):
         inst = _seeded_instance(KmerSpace(k), r, seed)
         for alg in ALGORITHMS:
-            for mode in DEGREE_MODES:
-                res = solve(inst, SolverConfig(alg, mode))
-                assert _sha(res.to_lines()) == _PINNED_DESIGNS[k, r, alg, mode], (k, r, alg, mode)
+            res = solve(inst, SolverConfig(alg))
+            assert _sha(res.to_lines()) == _PINNED_DESIGNS[k, r, alg], (k, r, alg)
     report = partition(_seeded_instance(KmerSpace(4), 1, 79), SolverConfig("minprobe"))
     assert [res.size for res in report.arrays] == [79, 73, 73, 65, 61, 43, 6]
     assert _sha(_partition_lines(report)) == _PINNED_PARTITION
