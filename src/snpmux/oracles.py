@@ -1,8 +1,10 @@
 """Exact reference solvers and the matching-to-design reduction.
 
 These exist to check the greedy heuristics, not to run at scale:
-``brute_force_max_decodable`` is a branch and bound over pool choices,
-and ``brute_force_mim`` tries every edge subset of a bipartite graph.
+``brute_force_max_decodable`` is a branch and bound over pool choices
+(a child only where ``solvers.first_fit`` accepts, backtracking to a
+saved copy, an independent final check), and ``brute_force_mim`` tries
+every edge subset of a bipartite graph.
 ``reduce_matching_to_design`` maps a bipartite graph (max degree 3) to
 a design instance over an explicit probe list such that maximum
 induced matchings correspond exactly to maximum decodable pool subsets
@@ -27,6 +29,7 @@ from .decodability import DesignResult, SelectedPool, is_strongly_r_decodable
 from .dnaseq import reverse_complement
 from .instance import Pool, Primer, ProblemInstance
 from .probespace import ExplicitSpace
+from .solvers import first_fit
 
 MIM_VERTEX_LIMIT = 24
 DEFAULT_ENUMERATION_CAP = 2_000_000
@@ -94,12 +97,14 @@ def brute_force_max_decodable(instance, cap=DEFAULT_ENUMERATION_CAP):
     """Exact maximum decodable subset: (size, witnessing DesignResult).
 
     Depth-first branch and bound over the pools in order: each pool gets
-    one of its primers or is skipped. A node stops once some selected
-    primer keeps fewer than r informative probes, since adding primers
-    only raises coverage; a branch is cut when the selected count plus
-    the pools still to come cannot beat the best selection found so far.
-    The search visits at most cap nodes, recurses once per pool, and the
-    checker must accept the selection it returns.
+    one of its primers or is skipped. A child is made only when
+    ``first_fit`` accepts the primer into a copy of the node's owner map
+    and counts (coverage only grows, so no rejected selection recovers),
+    and backtracking restores the node's own copy. A branch is cut when
+    the selected count plus the pools still to come cannot beat the best
+    selection found so far. The search visits at most cap nodes and
+    recurses once per pool; ``is_strongly_r_decodable``, which shares no
+    code with ``first_fit``, must accept its result.
     """
     pools = instance.pools
     if len(pools) > sys.getrecursionlimit() // 2:
@@ -108,32 +113,25 @@ def brute_force_max_decodable(instance, cap=DEFAULT_ENUMERATION_CAP):
     space = instance.space
     adjacency = [[space.primer_adjacency(p.sequence, p.extensions) for p in pool.primers]
                  for pool in pools]
-    cover = {}  # probe id -> selected primers whose extended products reach it
-    chosen = []  # (pool index, primer index) per selected pool
-    best = []
+    best = []  # (pool index, primer index) per selected pool
     nodes = 0
 
-    def search(i):
+    def search(i, owner, counts, chosen):
         nonlocal best, nodes
         nodes += 1
         if nodes > cap:
             raise SizeLimitError("search exceeded %d nodes" % cap)
         if len(chosen) > len(best):
-            best = list(chosen)
+            best = chosen
         if len(chosen) + len(pools) - i <= len(best):
             return
         for a, (nplus, nminus) in enumerate(adjacency[i]):
-            for x in nplus + nminus:
-                cover[x] = cover.get(x, 0) + 1
-            chosen.append((i, a))
-            if all(sum(cover[x] == 1 for x in adjacency[j][b][0]) >= r for j, b in chosen):
-                search(i + 1)
-            chosen.pop()
-            for x in nplus + nminus:
-                cover[x] -= 1
-        search(i + 1)
+            child = owner.copy(), counts.copy()
+            if first_fit(*child, r, nplus, nminus):
+                search(i + 1, *child, chosen + [(i, a)])
+        search(i + 1, owner, counts, chosen)
 
-    search(0)
+    search(0, {}, [], [])
     primers = [pools[i].primers[a] for i, a in best]
     ok, witnesses = is_strongly_r_decodable(primers, r, space)
     if not ok:

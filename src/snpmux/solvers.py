@@ -47,7 +47,7 @@ from .decodability import DesignResult, SelectedPool
 logger = logging.getLogger(__name__)
 
 ALGORITHMS = ("seq", "minprimer", "minprobe")
-_SHARED = -1  # sequential_greedy: a covered probe informative for nobody
+_SHARED = -1  # first_fit: a covered probe informative for nobody
 
 
 @dataclass(frozen=True)
@@ -69,16 +69,40 @@ def solve(instance, config=None):
     return _min_degree_greedy(instance, config.algorithm == "minprobe")
 
 
-def sequential_greedy(instance):
-    """First-fit scan: keep a pool if some primer of it fits the selection.
+def first_fit(owner, counts, r, nplus, nminus):
+    """Give a primer the next slot if it fits; return whether it did.
 
-    A candidate is accepted when it has >= r probes no selected primer's
-    extended products reach, and accepting it leaves every earlier
-    selection with >= r informative probes. One map holds the coverage:
-    ``owner`` sends every covered probe to the slot it is informative for
-    (covered once, unextended) or to ``_SHARED`` (covered twice, or once
-    only through an extension). Uncovered probes are absent.
+    It fits when >= r of its unextended probes are uncovered and adding it
+    leaves every slot with >= r informative probes; if not, nothing
+    changes. ``owner`` sends each covered probe to the slot it is
+    informative for (covered once, unextended) or to ``_SHARED`` (covered
+    twice, or once only through an extension); uncovered probes are
+    absent. ``counts`` holds each slot's informative-probe count.
     """
+    gain = sum(1 for x in nplus if x not in owner)
+    if gain < r:
+        return False
+    # would any earlier selection drop below r informative probes?
+    loss = {}
+    for x in nplus + nminus:
+        slot = owner.get(x, _SHARED)
+        if slot != _SHARED:
+            loss[slot] = loss.get(slot, 0) + 1
+    if any(counts[slot] - lost < r for slot, lost in loss.items()):
+        return False
+    for slot, lost in loss.items():
+        counts[slot] -= lost
+    slot = len(counts)
+    for x in nplus:
+        owner[x] = _SHARED if x in owner else slot
+    for x in nminus:
+        owner[x] = _SHARED
+    counts.append(gain)
+    return True
+
+
+def sequential_greedy(instance):
+    """First-fit scan: each pool keeps its first primer ``first_fit`` accepts."""
     space = instance.space
     r = instance.redundancy
     owner = {}  # covered probe id -> owning slot, or _SHARED
@@ -90,28 +114,9 @@ def sequential_greedy(instance):
             nplus, nminus = space.primer_adjacency(primer.sequence, primer.extensions)
             if not nplus:
                 pruned_empty += 1
-                continue
-            gain = sum(1 for x in nplus if x not in owner)
-            if gain < r:
-                continue
-            # would any earlier selection drop below r informative probes?
-            loss = {}
-            for x in nplus + nminus:
-                slot = owner.get(x, _SHARED)
-                if slot != _SHARED:
-                    loss[slot] = loss.get(slot, 0) + 1
-            if any(counts[slot] - lost < r for slot, lost in loss.items()):
-                continue
-            for slot, lost in loss.items():
-                counts[slot] -= lost
-            slot = len(chosen)
-            for x in nplus:
-                owner[x] = _SHARED if x in owner else slot
-            for x in nminus:
-                owner[x] = _SHARED
-            counts.append(gain)
-            chosen.append((pool.id, primer_index, nplus))
-            break
+            elif first_fit(owner, counts, r, nplus, nminus):
+                chosen.append((pool.id, primer_index, nplus))
+                break
     selected = []
     for slot, (pool_id, primer_index, nplus) in enumerate(chosen):
         own = [x for x in nplus if owner[x] == slot][:r]

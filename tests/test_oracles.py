@@ -1,10 +1,12 @@
 import random
 import time
 from collections import Counter
+from itertools import product
 
 import pytest
 
-from snpmux.decodability import verify_design
+from snpmux.datasets import RandomSpec, generate_random
+from snpmux.decodability import is_strongly_r_decodable, verify_design
 from snpmux.dnaseq import reverse_complement
 from snpmux.instance import Pool, Primer, ProblemInstance
 from snpmux.oracles import (
@@ -14,7 +16,7 @@ from snpmux.oracles import (
     brute_force_mim,
     reduce_matching_to_design,
 )
-from snpmux.probespace import KmerSpace
+from snpmux.probespace import CTokenSpace, KmerSpace
 from snpmux.solvers import build_graph
 
 
@@ -111,6 +113,39 @@ def test_brute_force_max_decodable_cap():
     many = ProblemInstance([_pool(i, "AAAA", "C") for i in range(5000)], space, 1)
     with pytest.raises(SizeLimitError):
         brute_force_max_decodable(many)
+
+
+def _max_decodable_reference(inst):
+    """The optimum by plain enumeration, sharing no code with the search:
+    every pool is skipped or gets one of its primers, and the largest
+    assignment the decodability checker accepts wins."""
+    best = 0
+    for choice in product(*[(None,) + pool.primers for pool in inst.pools]):
+        primers = [p for p in choice if p is not None]
+        if len(primers) > best and is_strongly_r_decodable(
+                primers, inst.redundancy, inst.space)[0]:
+            best = len(primers)
+    return best
+
+
+def test_brute_force_max_decodable_matches_enumeration():
+    # two-primer pools at r >= 2, where the search's pruning rule matters
+    rng = random.Random(97)
+    checked, below = 0, 0
+    for space in (KmerSpace(2), KmerSpace(3), CTokenSpace(3), CTokenSpace(4)):
+        for ext in ("pair", "all4"):
+            for r in (1, 2, 3):
+                for _ in range(5):
+                    spec = RandomSpec(rng.randint(1, 6), 2, rng.randint(5, 8), ext,
+                                      rng.getrandbits(32))
+                    inst = ProblemInstance(generate_random(spec), space, r)
+                    size, result = brute_force_max_decodable(inst)
+                    assert size == _max_decodable_reference(inst), (space.descriptor, r, spec)
+                    assert result.size == size and verify_design(result, inst).ok
+                    checked += 1
+                    below += size < spec.n_pools
+    print("%d instances, %d with an optimum below the pool count" % (checked, below))
+    assert checked >= 100 and below  # some optima leave pools out
 
 
 def test_reduction_structure():
