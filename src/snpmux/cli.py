@@ -285,14 +285,13 @@ def cmd_reduce(args, argv):
     n_left = max(u for u, _ in edges) + 1
     n_right = max(v for _, v in edges) + 1
     graph = BipartiteGraph(n_left=n_left, n_right=n_right, edges=tuple(edges))
-    reduction = reduce_matching_to_design(graph)
-    probe_lines = _manifest("reduce probes", argv, [("size", reduction.instance.space.size)])
-    probe_lines.extend(reduction.instance.space.probes())
-    _write(args.probes_out, probe_lines)
-    _write_instance(args.out, "reduce", argv, reduction.instance.pools, [
+    instance = reduce_matching_to_design(graph)
+    probes = list(instance.space.probes())
+    _write(args.probes_out, _manifest("reduce probes", argv, [("size", len(probes))]) + probes)
+    _write_instance(args.out, "reduce", argv, instance.pools, [
         ("left", n_left),
         ("right", n_right),
-        ("word_length", reduction.word_length),
+        ("word_length", len(probes[0])),
         ("probes", "list:%s" % args.probes_out),
         ("redundancy", 1),
     ])

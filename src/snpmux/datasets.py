@@ -104,11 +104,11 @@ def generate_random(spec):
             ext_fwd = ext_rev = "ACGT"
         if two:
             primers = (
-                Primer(seqs[0], ext_fwd, "+", pool_id),
-                Primer(seqs[1], ext_rev, "-", pool_id),
+                Primer(seqs[0], ext_fwd, "+"),
+                Primer(seqs[1], ext_rev, "-"),
             )
         else:
-            primers = (Primer(seqs[0], ext_fwd, ".", pool_id),)
+            primers = (Primer(seqs[0], ext_fwd, "."),)
         pools.append(Pool(id=pool_id, primers=primers))
     return pools
 
@@ -165,12 +165,11 @@ def load_snp_table(path, primer_length):
         if reason:
             skipped.append((snp_id, reason))
             continue
-        pool_id = len(pools)
         fwd_ext = "".join(sorted(alleles))
         rev_ext = "".join(sorted(complement(a) for a in alleles))
-        pools.append(Pool(id=pool_id, primers=(
-            Primer(fwd_window, fwd_ext, "+", pool_id),
-            Primer(reverse_complement(rev_window), rev_ext, "-", pool_id),
+        pools.append(Pool(id=len(pools), primers=(
+            Primer(fwd_window, fwd_ext, "+"),
+            Primer(reverse_complement(rev_window), rev_ext, "-"),
         )))
     if skipped:
         logger.info("skipped %d of %d SNP record(s)", len(skipped), len(skipped) + len(pools))

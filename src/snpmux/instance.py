@@ -17,6 +17,7 @@ Pool ids must be dense 0..n-1.
 
 import bisect
 import hashlib
+import re
 from dataclasses import dataclass
 from operator import attrgetter
 
@@ -62,13 +63,19 @@ def records(text, n_fields, comments=None):
     an empty field; a count other than n_fields raises InstanceFormatError
     naming the 1-based line.
     """
+    # A field has space (str.isspace, re's \s) to strip only at a line end
+    # or beside a tab; one search, led by a literal tab to run fast, finds
+    # the latter for the whole text.
+    space_by_tab = re.search(r"\t(?:\s|(?<=\s\t))", text) is not None
     for line_no, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if line.startswith("#"):
             if comments is not None:
                 comments.append((line_no, line[1:]))
         elif line:
-            fields = [field.strip() for field in raw.split("\t")]
+            fields = raw.split("\t")
+            if space_by_tab or raw != line:
+                fields = [field.strip() for field in fields]
             if len(fields) != n_fields:
                 raise InstanceFormatError(
                     "expected %d tab-separated fields, got %d" % (n_fields, len(fields)), line_no
@@ -78,20 +85,18 @@ def records(text, n_fields, comments=None):
 
 @dataclass(frozen=True)
 class Primer:
-    """One extension primer: sequence, extension bases, strand tag, pool.
+    """One extension primer: sequence, extension bases, strand tag; its Pool holds the id.
 
     Args:
         sequence: primer bases, 5' to 3', non-degenerate.
         extensions: the dideoxy bases this primer can be extended with, as
             a string of 1-4 distinct bases (stored sorted).
         strand: '+', '-' or '.'.
-        pool_id: id of the owning pool.
     """
 
     sequence: str
     extensions: str
     strand: str = "."
-    pool_id: int = 0
 
     def __post_init__(self):
         seq = normalize(self.sequence, what="primer sequence")
@@ -124,11 +129,6 @@ class Pool:
         strands = [p.strand for p in primers]
         if len(set(strands)) != len(strands):
             raise ValueError("pool %d has two primers with strand tag %r" % (self.id, strands[0]))
-        for p in primers:
-            if p.pool_id != self.id:
-                raise ValueError(
-                    "primer pool_id %d does not match pool %d" % (p.pool_id, self.id)
-                )
         object.__setattr__(self, "primers", primers)
 
 
@@ -190,7 +190,7 @@ def parse_instance_text(text):
         except ValueError:
             raise InstanceFormatError("pool id %r is not an integer" % pid_text, line_no)
         try:
-            primer = Primer(sequence=seq, extensions=ext, strand=strand, pool_id=pool_id)
+            primer = Primer(sequence=seq, extensions=ext, strand=strand)
         except ValueError as exc:
             raise InstanceFormatError(str(exc), line_no)
         by_pool.setdefault(pool_id, []).append((line_no, primer))

@@ -140,14 +140,6 @@ def brute_force_max_decodable(instance, cap=DEFAULT_ENUMERATION_CAP):
     return len(best), DesignResult(selected, fingerprint=instance.fingerprint)
 
 
-@dataclass(frozen=True)
-class ReductionOutput:
-    """Reduced instance plus the length of its right-vertex words."""
-
-    instance: ProblemInstance
-    word_length: int
-
-
 def reduce_matching_to_design(graph):
     """Encode induced matchings of a bipartite graph as a design instance.
 
@@ -155,7 +147,7 @@ def reduce_matching_to_design(graph):
     degree >= 1. The returned instance has one single-primer pool per
     left vertex, redundancy 1, and probe ids equal to right-vertex
     indices; its maximum decodable subset size equals the graph's
-    maximum induced matching size.
+    maximum induced matching size. Each probe is as long as a right-vertex word.
     """
     neighbors = [[] for _ in range(graph.n_left)]
     deg_right = [0] * graph.n_right
@@ -176,6 +168,5 @@ def reduce_matching_to_design(graph):
     pools = []
     for u, nbrs in enumerate(neighbors):
         seq = "C".join(words[v] for v in nbrs)
-        pools.append(Pool(id=u, primers=(Primer(seq, "CG", ".", u),)))
-    instance = ProblemInstance(pools, space, redundancy=1)
-    return ReductionOutput(instance=instance, word_length=bits)
+        pools.append(Pool(id=u, primers=(Primer(seq, "CG", "."),)))
+    return ProblemInstance(pools, space, redundancy=1)

@@ -31,17 +31,20 @@ class PartitionReport:
         the caller's original ids.
     uncovered: pools undecodable even in isolation.
     remaining: pools left unassigned because max_arrays stopped the run.
-    total_pools: pool count of the input instance.
     """
 
     arrays: tuple
     uncovered: tuple
     remaining: tuple
-    total_pools: int
 
     @property
     def n_covered(self):
         return sum(res.size for res in self.arrays)
+
+    @property
+    def total_pools(self):
+        """Input pool count: each pool is in one array, uncovered or remaining."""
+        return self.n_covered + len(self.uncovered) + len(self.remaining)
 
     @property
     def fraction_covered_all(self):
@@ -102,7 +105,6 @@ def partition(instance, config=None, max_arrays=None):
         arrays=tuple(arrays),
         uncovered=tuple(uncovered),
         remaining=tuple(pool.id for pool in residual),
-        total_pools=instance.n_pools,
     )
 
 

@@ -146,7 +146,7 @@ def _small_instance(rng, k):
             length = rng.randint(k, 6)
             seq = "".join(rng.choice("ACGT") for _ in range(length))
             ext = "".join(sorted(rng.sample("ACGT", rng.randint(1, 4))))
-            primers.append(Primer(seq, ext, "+-"[j], pid))
+            primers.append(Primer(seq, ext, "+-"[j]))
         pools.append(Pool(pid, tuple(primers)))
     return pools
 
@@ -227,11 +227,11 @@ def test_criterion_06_matching_reduction_bijection():
     rng = random.Random(6006)
     for trial in range(100):
         graph = _bounded_bipartite(rng)
-        reduction = reduce_matching_to_design(graph)
-        size, result = brute_force_max_decodable(reduction.instance)
+        reduced = reduce_matching_to_design(graph)
+        size, result = brute_force_max_decodable(reduced)
         assert size == brute_force_mim(graph), (trial, graph)
-        assert verify_design(result, reduction.instance).ok
-        g = build_graph(reduction.instance)
+        assert verify_design(result, reduced).ok
+        g = build_graph(reduced)
         assert all(minus == () for minus in g.pn_minus), trial
     elapsed = time.perf_counter() - started
     print("100 reductions matched brute-force induced matching in %.1fs" % elapsed)
@@ -356,7 +356,7 @@ def _disjoint_pools(n, k):
     offset = 4 ** k // 2
     assert 4 * n < offset
     return [
-        Pool(pid, (Primer(unpack_value(offset + pid, k), "A", ".", pid),))
+        Pool(pid, (Primer(unpack_value(offset + pid, k), "A", "."),))
         for pid in range(n)
     ]
 

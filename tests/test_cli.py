@@ -262,6 +262,18 @@ def test_exit_codes_for_bad_input(tmp_path, capsys):
                  "--redundancy", "0"]) == 2
     assert capsys.readouterr().err == (
         "snpmux: error: redundancy must be an integer >= 1, got 0\n")
+    # a bad value in a record names its line; a bad option value is reported as it is
+    table.write_text("rs1\tACGTACGTAC\tAG\tTTTTGGGGCC\n\tACGTACGTAC\tAG\tTTTTGGGGCC\n")
+    bad.write_text("0\t.\tACGT\tA\n-1\t.\tACGT\tA\n")
+    for argv, err in (
+            (["ingest", "--in", str(table), "--primer-length", "4"], "line 2: empty SNP id"),
+            (["ingest", "--in", str(table), "--primer-length", "0"],
+             "primer_length must be >= 1, got 0"),
+            (["gen", "--pools", "2", "--seed", "-1"], "rng_seed must fit in 64 bits, got -1"),
+            (["solve", "--in", str(bad), "--probes", "kmer:3"],
+             "line 2: pool id must be non-negative, got -1")):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "snpmux: error: %s\n" % err
 
 
 _SMALL_INT = st.integers(-1, 8).map(str)
@@ -437,7 +449,7 @@ def test_partition_report_lists_uncovered_and_remaining_pools(tmp_path):
     assert len(sections["remaining"]) == 4
 
 
-def test_ingest_writes_instance_and_skips(tmp_path):
+def test_ingest_writes_instance_and_skips(tmp_path, capsys):
     table = tmp_path / "snps.tsv"
     table.write_text(
         "id\tleft_flank\talleles\tright_flank\n"
@@ -450,6 +462,11 @@ def test_ingest_writes_instance_and_skips(tmp_path):
                  "--out", str(inst), "--skipped", str(skipped)]) == 0
     assert len(_data_lines(inst)) == 2  # one pool, two primers
     assert _data_lines(skipped) == ["rs2\tflank too short"]
+    # without --skipped the skipped records go to stderr, one line each
+    capsys.readouterr()
+    assert main(["ingest", "--in", str(table), "--primer-length", "8",
+                 "--out", str(tmp_path / "inst2.txt")]) == 0
+    assert capsys.readouterr().err == "skipped: rs2: flank too short\n"
     # the instance solves end to end
     assert main(["solve", "--in", str(inst), "--probes", "kmer:4",
                  "--out", str(tmp_path / "d.txt")]) == 0
@@ -587,7 +604,9 @@ def test_bench_checks_its_grid_before_generating(capsys):
             (["--pools", "20", "--redundancy", "1", "--algorithm", "seq,bogus"],
              "algorithm must be one of ('seq', 'minprimer', 'minprobe'), got 'bogus'"),
             (["--pools", "20,-1", "--redundancy", "1", "--algorithm", "seq"],
-             "n_pools must be >= 0, got -1")):
+             "n_pools must be >= 0, got -1"),
+            (["--pools", "20,x", "--redundancy", "1", "--algorithm", "seq"],
+             "expected a comma-separated integer list, got '20,x'")):
         capsys.readouterr()
         assert main(argv + grid) == 2
         assert capsys.readouterr().err == "snpmux: error: %s\n" % err

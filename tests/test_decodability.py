@@ -42,7 +42,7 @@ def _random_primers(rng, n, k):
     for i in range(n):
         seq = "".join(rng.choice("ACGT") for _ in range(rng.randint(k, 8)))
         exts = "".join(sorted(rng.sample("ACGT", rng.randint(1, 4))))
-        out.append(Primer(seq, exts, ".", i))
+        out.append(Primer(seq, exts, "."))
     return out
 
 
@@ -50,8 +50,8 @@ def test_informative_probes_known_example():
     # ACG+T reaches {1, 6, 11} and CGT+A reaches {1, 6, 12}, unextended
     # {6, 11} and {1, 6}: together only probe 11 stays informative
     space = KmerSpace(2)
-    p1 = Primer("ACG", "T", ".", 0)
-    p2 = Primer("CGT", "A", ".", 1)
+    p1 = Primer("ACG", "T", ".")
+    p2 = Primer("CGT", "A", ".")
     assert is_strongly_r_decodable([p1], 2, space) == (True, [(6, 11)])
     assert is_strongly_r_decodable([p1, p2], 1, space) == (False, None)
     inst = ProblemInstance([Pool(0, (p1,)), Pool(1, (p2,))], space, 1)
@@ -63,8 +63,8 @@ def test_informative_probes_known_example():
 
 def test_is_strongly_r_decodable_simple():
     space = KmerSpace(2)
-    a = Primer("AAAA", "C", ".", 0)  # spectrum {TT}
-    b = Primer("CCCC", "A", ".", 1)  # spectrum {GG}
+    a = Primer("AAAA", "C", ".")  # spectrum {TT}
+    b = Primer("CCCC", "A", ".")  # spectrum {GG}
     ok, wit = is_strongly_r_decodable([a, b], 1, space)
     assert ok
     assert wit == [(15,), (10,)]
@@ -76,7 +76,7 @@ def test_is_strongly_r_decodable_simple():
 
 def test_witnesses_are_lowest_r_ids():
     space = KmerSpace(2)
-    p = Primer("ACGT", "A", ".", 0)  # spectrum {1, 6, 11}
+    p = Primer("ACGT", "A", ".")  # spectrum {1, 6, 11}
     ok, wit = is_strongly_r_decodable([p], 2, space)
     assert ok
     assert wit == [(1, 6)]
@@ -118,8 +118,8 @@ def test_decodability_is_monotone_in_r():
 def _two_pool_instance(r=1):
     space = KmerSpace(2)
     pools = [
-        Pool(0, (Primer("AAAA", "C", ".", 0),)),
-        Pool(1, (Primer("CCCC", "A", ".", 1),)),
+        Pool(0, (Primer("AAAA", "C", "."),)),
+        Pool(1, (Primer("CCCC", "A", "."),)),
     ]
     return ProblemInstance(pools, space, r)
 
@@ -164,7 +164,7 @@ def test_verify_design_witness_violations():
 def test_verify_design_counts_distinct_witnesses():
     # at r=2 a witness claimed twice is still one readout probe
     space = KmerSpace(2)
-    inst = ProblemInstance([Pool(0, (Primer("ACGT", "A", ".", 0),))], space, 2)
+    inst = ProblemInstance([Pool(0, (Primer("ACGT", "A", "."),))], space, 2)
     assert verify_design(DesignResult((SelectedPool(0, 0, (1, 6)),)), inst).ok
     report = verify_design(DesignResult((SelectedPool(0, 0, (6, 6)),)), inst)
     assert [v.kind for v in report.violations] == ["witness-count"]
@@ -177,7 +177,7 @@ def test_verify_design_counts_distinct_witnesses():
 def test_verify_design_flags_a_repeated_witness_id():
     # enough distinct ids, but one listed twice: one violation naming it
     space = KmerSpace(2)
-    inst = ProblemInstance([Pool(0, (Primer("ACGT", "A", ".", 0),))], space, 2)
+    inst = ProblemInstance([Pool(0, (Primer("ACGT", "A", "."),))], space, 2)
     report = verify_design(DesignResult((SelectedPool(0, 0, (1, 1, 6)),)), inst)
     assert [v.to_line() for v in report.violations] == [
         "0\twitness-count\twitness 1 listed more than once"]
@@ -189,8 +189,8 @@ def test_verify_design_cross_hybridization():
     # identical primers in both pools: every probe is covered twice
     space = KmerSpace(2)
     pools = [
-        Pool(0, (Primer("AAAA", "C", ".", 0),)),
-        Pool(1, (Primer("AAAA", "C", ".", 1),)),
+        Pool(0, (Primer("AAAA", "C", "."),)),
+        Pool(1, (Primer("AAAA", "C", "."),)),
     ]
     inst = ProblemInstance(pools, space, 1)
     result = DesignResult((

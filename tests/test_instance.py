@@ -1,7 +1,10 @@
 import random
+import sys
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from snpmux.datasets import RandomSpec, generate_random
 from snpmux.instance import (
@@ -11,6 +14,7 @@ from snpmux.instance import (
     ProblemInstance,
     format_instance_text,
     parse_instance_text,
+    records,
 )
 from snpmux.probespace import CTokenSpace, ExplicitSpace, KmerSpace
 from snpmux.solvers import build_graph
@@ -21,7 +25,7 @@ def _pool(pid, *primers):
 
 
 def test_primer_normalizes_and_sorts_extensions():
-    p = Primer("acgt", "ta", "+", 3)
+    p = Primer("acgt", "ta", "+")
     assert p.sequence == "ACGT"
     assert p.extensions == "AT"
     assert p.strand == "+"
@@ -43,24 +47,24 @@ def test_primer_validation():
 
 
 def test_pool_validation():
-    a = Primer("ACGT", "A", "+", 0)
-    b = Primer("TTTT", "C", "-", 0)
+    a = Primer("ACGT", "A", "+")
+    b = Primer("TTTT", "C", "-")
     assert len(_pool(0, a, b).primers) == 2
     with pytest.raises(ValueError):
         _pool(0)  # empty
     with pytest.raises(ValueError):
         _pool(0, a, a)  # duplicate strand tag
-    with pytest.raises(ValueError):
-        _pool(1, a)  # pool_id mismatch
-    c = Primer("GGGG", "T", "+", 0)
+    # the pool owns its id: a primer carries none to match
+    assert _pool(3, Primer("ACGTACGT", "A")).id == 3
+    c = Primer("GGGG", "T", "+")
     with pytest.raises(ValueError):
         _pool(0, a, c)  # two primers on the same strand
 
 
 def test_instance_sorts_pools_and_rejects_duplicates():
     pools = [
-        _pool(1, Primer("AAAA", "C", ".", 1)),
-        _pool(0, Primer("CCCC", "A", ".", 0)),
+        _pool(1, Primer("AAAA", "C", ".")),
+        _pool(0, Primer("CCCC", "A", ".")),
     ]
     inst = ProblemInstance(pools, KmerSpace(2), 1)
     assert [pl.id for pl in inst.pools] == [0, 1]
@@ -99,6 +103,42 @@ def test_parse_reports_line_numbers():
         parse_instance_text("0\t.\tACGT\tA\n# note\x0cwith a form feed\n1\t.\tACQT\tA\n")
 
 
+_SPACES = "".join(c for c in map(chr, range(sys.maxunicode + 1)) if c.isspace())
+_FIELD = st.text(alphabet=_SPACES + "AC#", max_size=4)
+
+
+def _assert_records_strip_as_every_field_stripped(text):
+    expected = []
+    for line_no, raw in enumerate(text.split("\n"), start=1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            expected.append((line_no, [field.strip() for field in raw.split("\t")]))
+    got = []
+    try:
+        for record in records(text, 3):
+            got.append(record)
+    except InstanceFormatError as exc:
+        wrong = next(i for i, (_, fields) in enumerate(expected) if len(fields) != 3)
+        assert exc.line_no == expected[wrong][0]
+        expected = expected[:wrong]
+    assert got == expected
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(lines=st.lists(st.one_of(st.lists(_FIELD, min_size=3, max_size=3),
+                                st.lists(_FIELD, min_size=1, max_size=4)).map("\t".join),
+                      max_size=6))
+def test_records_strips_fields_as_stripping_every_field_does(lines):
+    _assert_records_strip_as_every_field_stripped("\n".join(lines))
+
+
+def test_records_strips_every_space_character():
+    # each str.isspace() character beside tabs, between them, and at line ends
+    for c in _SPACES:
+        _assert_records_strip_as_every_field_stripped("A%s\t%s\t%sC\n" % (c, c, c))
+        _assert_records_strip_as_every_field_stripped("%sA\tC\tA%s\n" % (c, c))
+
+
 def test_parse_requires_dense_ids():
     # the first line of the first pool out of sequence is reported
     text = "3\t.\tACGT\tA\n0\t.\tACGT\tA\n# gap\n2\t+\tCCCC\tA\n2\t-\tGGGG\tA\n"
@@ -121,8 +161,8 @@ def test_graph_structure_single_extension():
     # ACG with extension T under 2-mers: spectrum {CG->6, GT->11}, the
     # extension ACGT adds GT whose probe AC has id 1
     pools = [
-        _pool(0, Primer("ACG", "T", ".", 0)),
-        _pool(1, Primer("CGT", "A", ".", 1)),
+        _pool(0, Primer("ACG", "T", ".")),
+        _pool(1, Primer("CGT", "A", ".")),
     ]
     inst = ProblemInstance(pools, KmerSpace(2), 1)
     g = build_graph(inst)
@@ -151,8 +191,8 @@ def test_graph_prunes_empty_spectrum_primers():
     # a primer shorter than k has an empty spectrum and can never be
     # certified, so the graph drops it up front
     pools = [
-        _pool(0, Primer("A", "C", ".", 0)),
-        _pool(1, Primer("ACGT", "A", ".", 1)),
+        _pool(0, Primer("A", "C", ".")),
+        _pool(1, Primer("ACGT", "A", ".")),
     ]
     inst = ProblemInstance(pools, KmerSpace(3), 1)
     g = build_graph(inst)
@@ -206,7 +246,7 @@ def _random_graph_instance(rng, space, max_len):
             # lengths from 1 give some primers an empty spectrum
             seq = "".join(rng.choice("ACGT") for _ in range(rng.randint(1, max_len)))
             ext = "".join(rng.sample("ACGT", rng.randint(1, 4)))
-            primers.append(Primer(seq, ext, "+-"[j], pid))
+            primers.append(Primer(seq, ext, "+-"[j]))
         pools.append(_pool(pid, *primers))
     return ProblemInstance(pools, space, rng.randint(1, 2))
 

@@ -67,7 +67,7 @@ def test_brute_force_mim_size_cap():
 
 
 def _pool(pid, seq, ext):
-    return Pool(pid, (Primer(seq, ext, ".", pid),))
+    return Pool(pid, (Primer(seq, ext, "."),))
 
 
 def test_brute_force_max_decodable_small():
@@ -92,7 +92,7 @@ def test_brute_force_max_decodable_picks_representatives():
     # pool 1's first primer collides with pool 0, its second does not
     pools = [
         _pool(0, "AAAA", "C"),
-        Pool(1, (Primer("AAAA", "C", "+", 1), Primer("CCCC", "A", "-", 1))),
+        Pool(1, (Primer("AAAA", "C", "+"), Primer("CCCC", "A", "-"))),
     ]
     inst = ProblemInstance(pools, space, 1)
     size, result = brute_force_max_decodable(inst)
@@ -150,9 +150,8 @@ def test_brute_force_max_decodable_matches_enumeration():
 
 def test_reduction_structure():
     graph = BipartiteGraph(n_left=2, n_right=2, edges=((0, 0), (1, 0), (1, 1)))
-    red = reduce_matching_to_design(graph)
-    inst = red.instance
-    assert red.word_length == 1
+    inst = reduce_matching_to_design(graph)
+    assert {len(p) for p in inst.space.probes()} == {1}  # word length
     assert inst.redundancy == 1
     assert [pl.id for pl in inst.pools] == [0, 1]
     for pool in inst.pools:
@@ -169,9 +168,10 @@ def test_reduction_structure():
 def test_reduction_word_length_grows():
     edges = ((0, 0), (0, 1), (0, 2), (1, 3), (1, 4))
     graph = BipartiteGraph(n_left=2, n_right=5, edges=edges)
-    red = reduce_matching_to_design(graph)
-    assert red.word_length == 3  # 5 right vertices need 3 bits
-    for pool, n_words in zip(red.instance.pools, (3, 2)):
+    inst = reduce_matching_to_design(graph)
+    # 5 right vertices need 3 bits
+    assert {len(p) for p in inst.space.probes()} == {3}
+    for pool, n_words in zip(inst.pools, (3, 2)):
         words = pool.primers[0].sequence.split("C")
         assert len(words) == n_words
         assert all(len(w) == 3 and set(w) <= {"A", "T"} for w in words)
@@ -181,8 +181,7 @@ def test_reduction_has_no_extension_only_edges():
     rng = random.Random(83)
     for _ in range(10):
         graph = _random_bipartite(rng)
-        red = reduce_matching_to_design(graph)
-        g = build_graph(red.instance)
+        g = build_graph(reduce_matching_to_design(graph))
         assert all(minus == () for minus in g.pn_minus)
         # every left vertex's spectrum is exactly its neighborhood
         for u in range(graph.n_left):
@@ -197,14 +196,14 @@ def test_reduction_of_a_long_chain_is_linear():
     graph = BipartiteGraph(n_left=n, n_right=n + 1,
                            edges=tuple((u, u + d) for u in range(n) for d in (0, 1)))
     started = time.perf_counter()
-    red = reduce_matching_to_design(graph)
+    inst = reduce_matching_to_design(graph)
     assert time.perf_counter() - started < 2.0
-    words = [reverse_complement(p) for p in red.instance.space.probes()]
+    words = [reverse_complement(p) for p in inst.space.probes()]
     for u in (0, 1, 8191, n - 1):
         neighbors = [v for w, v in graph.edges if w == u]
         assert neighbors == [u, u + 1]
         sequence = "C".join(words[v] for v in neighbors)
-        assert red.instance.pools[u].primers[0].sequence == sequence
+        assert inst.pools[u].primers[0].sequence == sequence
 
 
 def test_reduction_degree_validation():
@@ -242,7 +241,7 @@ def test_reduction_preserves_optimum():
     rng = random.Random(89)
     for _ in range(25):
         graph = _random_bipartite(rng)
-        red = reduce_matching_to_design(graph)
-        size, result = brute_force_max_decodable(red.instance)
+        inst = reduce_matching_to_design(graph)
+        size, result = brute_force_max_decodable(inst)
         assert size == brute_force_mim(graph)
-        assert verify_design(result, red.instance).ok
+        assert verify_design(result, inst).ok

@@ -14,7 +14,7 @@ from snpmux.solvers import SolverConfig, solve
 
 
 def _pool(pid, seq, ext="C"):
-    return Pool(pid, (Primer(seq, ext, ".", pid),))
+    return Pool(pid, (Primer(seq, ext, "."),))
 
 
 def _copies(counts):
@@ -65,6 +65,7 @@ def test_max_arrays_leaves_remaining():
     inst = ProblemInstance(pools, KmerSpace(2), 1)
     report = partition(inst, max_arrays=1)
     assert len(report.arrays) == 1
+    assert report.total_pools == inst.n_pools
     assert sorted(report.remaining) == sorted(
         set(range(5)) - set(report.arrays[0].pool_ids())
     )
@@ -99,6 +100,7 @@ def test_partition_covers_every_pool_exactly_once():
     for res in report.arrays:
         seen.extend(res.pool_ids())
     assert sorted(seen) == list(range(60))
+    assert report.total_pools == inst.n_pools
     # every array verifies against the parent instance
     for res in report.arrays:
         assert res.fingerprint == inst.fingerprint
@@ -123,9 +125,9 @@ def test_sub_instance_keeps_original_ids():
 
 
 def test_report_fraction_edge_cases():
-    empty = PartitionReport(arrays=(), uncovered=(), remaining=(), total_pools=0)
+    empty = PartitionReport(arrays=(), uncovered=(), remaining=())
     assert empty.fraction_covered_all == 1.0
     assert empty.fraction_covered_decodable == 1.0
-    only_uncov = PartitionReport(arrays=(), uncovered=(0, 1), remaining=(), total_pools=2)
+    only_uncov = PartitionReport(arrays=(), uncovered=(0, 1), remaining=())
     assert only_uncov.fraction_covered_all == 0.0
     assert only_uncov.fraction_covered_decodable == 1.0

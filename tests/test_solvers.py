@@ -27,7 +27,7 @@ from snpmux.solvers import (
 
 def _pool(pid, *specs):
     primers = tuple(
-        Primer(seq, ext, strand, pid) for seq, ext, strand in specs
+        Primer(seq, ext, strand) for seq, ext, strand in specs
     )
     return Pool(pid, primers)
 
@@ -43,7 +43,7 @@ def _random_instance(rng, n_pools, k, r, max_len=8):
         for j in range(rng.randint(1, 2)):
             seq = "".join(rng.choice("ACGT") for _ in range(rng.randint(k, max_len)))
             ext = "".join(sorted(rng.sample("ACGT", rng.randint(1, 4))))
-            primers.append(Primer(seq, ext, "+-"[j], pid))
+            primers.append(Primer(seq, ext, "+-"[j]))
         pools.append(Pool(pid, tuple(primers)))
     return ProblemInstance(pools, KmerSpace(k), r)
 
@@ -341,7 +341,7 @@ def test_kmer16_probe_ids_above_2_31():
     pools = []
     for pid in range(30):
         start = rng.randrange(70)
-        primers = [Primer(track[start:start + 18 + pid % 3], rng.choice(("A", "C", "AC")), "+", pid)]
+        primers = [Primer(track[start:start + 18 + pid % 3], rng.choice(("A", "C", "AC")), "+")]
         pools.append(Pool(pid, tuple(primers)))
     space = KmerSpace(16)
     inst = ProblemInstance(pools, space, 2)
