@@ -133,7 +133,7 @@ def _parse_snp_line(fields, line_no):
 def _window_skip_reason(window, length):
     if len(window) < length:
         return SKIP_SHORT_FLANK
-    if any(is_degenerate(c) for c in window):
+    if is_degenerate(window):
         return SKIP_DEGENERATE
     return None
 

@@ -27,7 +27,7 @@ KIND_WITNESS_CROSS = "witness-cross"
 KIND_WITNESS_OVERLAP = "witness-overlap"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SelectedPool:
     """One selected pool: which primer represents it and its witnesses."""
 
@@ -81,6 +81,8 @@ def parse_design_lines(text, comments=None):
             witnesses = tuple(int(w) for w in fields[2].split(",")) if fields[2] else ()
         except ValueError:
             raise InstanceFormatError("malformed design entry %r" % "\t".join(fields), line_no)
+        if pool_id < 0:
+            raise InstanceFormatError("pool id must be non-negative, got %d" % pool_id, line_no)
         entries.append(SelectedPool(pool_id, primer_index, tuple(sorted(witnesses))))
     return entries
 

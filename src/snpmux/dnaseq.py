@@ -3,6 +3,8 @@
 Bases carry a hybridization weight of 1 for A/T and 2 for C/G, reflecting
 the stronger pairing of C:G. The fixed base ordinal A=0, C=1, G=2, T=3 is
 used for all dense probe indexing, so it must never change.
+
+Base checks are one set test on the whole string: is_degenerate, normalize.
 """
 
 BASES = "ACGT"
@@ -10,7 +12,7 @@ BASES = "ACGT"
 # ordinal encoding; also defines probe id numbering
 BASE_CODE = {"A": 0, "C": 1, "G": 2, "T": 3}
 
-_COMP = {"A": "T", "T": "A", "C": "G", "G": "C"}
+_ACGT = frozenset(BASES)
 _COMP_TABLE = str.maketrans("ACGT", "TGCA")
 
 # IUPAC nucleotide codes (DNA): the four bases plus ambiguity codes
@@ -23,34 +25,29 @@ class SequenceError(ValueError):
 
 def complement(base):
     """Watson-Crick complement of a single non-degenerate base."""
-    try:
-        return _COMP[base]
-    except KeyError:
+    if len(base) != 1 or is_degenerate(base):
         raise SequenceError("cannot complement %r: not one of A, C, G, T" % (base,))
+    return base.translate(_COMP_TABLE)
 
 
 def reverse_complement(seq):
     """Reverse complement of a non-degenerate sequence."""
-    if not _is_acgt(seq):
+    if is_degenerate(seq):
         raise SequenceError("cannot reverse-complement degenerate sequence %r" % (seq,))
     return seq.translate(_COMP_TABLE)[::-1]
 
 
 def weight(seq):
     """Hybridization weight: count of A/T bases plus twice the count of C/G."""
-    if not _is_acgt(seq):
+    if is_degenerate(seq):
         raise SequenceError("weight undefined for degenerate sequence %r" % (seq,))
     at = seq.count("A") + seq.count("T")
     return at + 2 * (len(seq) - at)
 
 
-def is_degenerate(char):
-    """True iff char is not one of the four unambiguous bases A, C, G, T."""
-    return char not in _COMP
-
-
-def _is_acgt(seq):
-    return all(c in _COMP for c in seq)
+def is_degenerate(seq):
+    """True iff seq, one base or a string of them, holds a non-ACGT character; "" does not."""
+    return not _ACGT.issuperset(seq)
 
 
 def normalize(text, *, what="sequence", allow_degenerate=False):
@@ -60,12 +57,12 @@ def normalize(text, *, what="sequence", allow_degenerate=False):
     rejected; otherwise any IUPAC code passes. Raises SequenceError.
     """
     seq = text.strip().upper()
-    allowed = IUPAC if allow_degenerate else _COMP
-    for i, c in enumerate(seq):
-        if c not in allowed:
-            raise SequenceError(
-                "invalid character %r at position %d in %s %r" % (c, i, what, text)
-            )
+    allowed = IUPAC if allow_degenerate else _ACGT
+    if not allowed.issuperset(seq):
+        i, c = next((i, c) for i, c in enumerate(seq) if c not in allowed)
+        raise SequenceError(
+            "invalid character %r at position %d in %s %r" % (c, i, what, text)
+        )
     return seq
 
 

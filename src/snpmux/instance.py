@@ -83,7 +83,7 @@ def records(text, n_fields, comments=None):
             yield line_no, fields
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Primer:
     """One extension primer: sequence, extension bases, strand tag; its Pool holds the id.
 
@@ -113,7 +113,7 @@ class Primer:
         object.__setattr__(self, "extensions", "".join(sorted(ext)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Pool:
     """The primers genotyping one SNP."""
 

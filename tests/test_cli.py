@@ -265,13 +265,16 @@ def test_exit_codes_for_bad_input(tmp_path, capsys):
     # a bad value in a record names its line; a bad option value is reported as it is
     table.write_text("rs1\tACGTACGTAC\tAG\tTTTTGGGGCC\n\tACGTACGTAC\tAG\tTTTTGGGGCC\n")
     bad.write_text("0\t.\tACGT\tA\n-1\t.\tACGT\tA\n")
+    design.write_text("# probes=kmer:3\n# redundancy=1\n-1\t0\t1,2\n")
     for argv, err in (
             (["ingest", "--in", str(table), "--primer-length", "4"], "line 2: empty SNP id"),
             (["ingest", "--in", str(table), "--primer-length", "0"],
              "primer_length must be >= 1, got 0"),
             (["gen", "--pools", "2", "--seed", "-1"], "rng_seed must fit in 64 bits, got -1"),
             (["solve", "--in", str(bad), "--probes", "kmer:3"],
-             "line 2: pool id must be non-negative, got -1")):
+             "line 2: pool id must be non-negative, got -1"),
+            (["verify", "--in", str(design), "--instance", str(inst)],
+             "line 3: pool id must be non-negative, got -1")):
         assert main(argv) == 2
         assert capsys.readouterr().err == "snpmux: error: %s\n" % err
 

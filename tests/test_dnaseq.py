@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from snpmux.dnaseq import (
     BASE_CODE,
@@ -56,6 +58,10 @@ def test_is_degenerate():
     assert not is_degenerate("A")
     assert is_degenerate("N")
     assert is_degenerate("R")
+    # a whole string is one test; the empty string holds no degenerate base
+    assert not is_degenerate("ACGT")
+    assert is_degenerate("ACNT")
+    assert not is_degenerate("")
 
 
 def test_normalize_uppercases_and_validates():
@@ -71,6 +77,62 @@ def test_normalize_uppercases_and_validates():
 def test_normalize_names_the_field():
     with pytest.raises(SequenceError, match="primer"):
         normalize("AXG", what="primer sequence")
+
+
+_REF_COMP = {"A": "T", "C": "G", "G": "C", "T": "A"}
+
+
+def _ref_normalize(text, what, allow_degenerate):
+    seq = text.strip().upper()
+    allowed = "ACGTRYSWKMBDHVN" if allow_degenerate else "ACGT"
+    for i, c in enumerate(seq):
+        if c not in allowed:
+            raise SequenceError(
+                "invalid character %r at position %d in %s %r" % (c, i, what, text))
+    return seq
+
+
+def _ref_is_degenerate(seq):
+    return any(c not in _REF_COMP for c in seq)
+
+
+def _ref_complement(base):
+    if base not in _REF_COMP:
+        raise SequenceError("cannot complement %r: not one of A, C, G, T" % (base,))
+    return _REF_COMP[base]
+
+
+def _ref_reverse_complement(seq):
+    if _ref_is_degenerate(seq):
+        raise SequenceError("cannot reverse-complement degenerate sequence %r" % (seq,))
+    return "".join(_REF_COMP[c] for c in reversed(seq))
+
+
+def _ref_weight(seq):
+    if _ref_is_degenerate(seq):
+        raise SequenceError("weight undefined for degenerate sequence %r" % (seq,))
+    return sum(2 if c in "CG" else 1 for c in seq)
+
+
+def _outcome(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs)
+    except SequenceError as exc:
+        return SequenceError, str(exc)
+
+
+_SPACES = st.text(" ", max_size=2)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(text=st.tuples(_SPACES, st.text("ACGTacgtNRnr!x", max_size=10), _SPACES).map("".join))
+def test_set_tests_match_a_per_character_reference(text):
+    for allow in (False, True):
+        assert _outcome(normalize, text, what="probe", allow_degenerate=allow) == _outcome(
+            _ref_normalize, text, "probe", allow)
+    for fn, ref in ((is_degenerate, _ref_is_degenerate), (complement, _ref_complement),
+                    (reverse_complement, _ref_reverse_complement), (weight, _ref_weight)):
+        assert _outcome(fn, text) == _outcome(ref, text)
 
 
 def test_encode_decode_roundtrip():
