@@ -165,11 +165,10 @@ def load_snp_table(path, primer_length):
         if reason:
             skipped.append((snp_id, reason))
             continue
-        fwd_ext = "".join(sorted(alleles))
-        rev_ext = "".join(sorted(complement(a) for a in alleles))
+        # Primer stores each extension set sorted
         pools.append(Pool(id=len(pools), primers=(
-            Primer(fwd_window, fwd_ext, "+"),
-            Primer(reverse_complement(rev_window), rev_ext, "-"),
+            Primer(fwd_window, alleles, "+"),
+            Primer(reverse_complement(rev_window), "".join(map(complement, alleles)), "-"),
         )))
     if skipped:
         logger.info("skipped %d of %d SNP record(s)", len(skipped), len(skipped) + len(pools))

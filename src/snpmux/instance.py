@@ -136,13 +136,18 @@ class ProblemInstance:
     """Pools plus the probe space and redundancy they are assayed under.
 
     Pools are kept sorted by id. Ids must be unique; text-format instances
-    additionally require dense ids 0..n-1 (sub-instances built in memory,
-    e.g. by the partitioner, may be sparse). A given fingerprint replaces
-    the hash of this instance's own text: the partitioner passes the
-    parent's, since every array's design verifies against the parent.
+    additionally require dense ids 0..n-1 (a subset may be sparse).
+
+    An instance made here is its own root. ``subset`` makes an instance of
+    some of its pools that shares the root's space, redundancy,
+    fingerprint and hybridization graph: the partitioner solves one subset
+    per array, every array's design verifies against the root, and no
+    subset's text is formatted or hashed. ``root.graph`` is the graph of
+    all the root's pools, None until a graph solver first builds it; each
+    later graph solve, of the root or of a subset, resets its run state.
     """
 
-    def __init__(self, pools, space, redundancy, fingerprint=None):
+    def __init__(self, pools, space, redundancy):
         if not isinstance(redundancy, int) or redundancy < 1:
             raise ValueError("redundancy must be an integer >= 1, got %r" % (redundancy,))
         pools = sorted(pools, key=lambda pl: pl.id)
@@ -152,7 +157,9 @@ class ProblemInstance:
         self.pools = pools
         self.space = space
         self.redundancy = redundancy
-        self._fingerprint = fingerprint
+        self.graph = None
+        self._root = None  # the instance a subset was taken from
+        self._fingerprint = None
 
     @property
     def n_pools(self):
@@ -165,9 +172,28 @@ class ProblemInstance:
             raise KeyError("no pool with id %r" % (pool_id,))
         return pools[i]
 
+    def subset(self, pools):
+        """The sub-instance of these pools, each one of this instance's own."""
+        sub = ProblemInstance(pools, self.space, self.redundancy)
+        # both lists ascend by id, so each of sub's pools must turn up, as
+        # the same object, further along this instance's list
+        mine = iter(self.pools)
+        if not all(any(pool is own for own in mine) for pool in sub.pools):
+            raise ValueError("a subset takes only pools of its instance")
+        sub._root = self.root
+        # hashed now, before a graph solve: formatting the root's text beside
+        # its built graph raised a partition's peak memory
+        sub._fingerprint = self.fingerprint
+        return sub
+
+    @property
+    def root(self):
+        """The instance this one is a subset of, or itself."""
+        return self if self._root is None else self._root
+
     @property
     def fingerprint(self):
-        """Hex sha256 of the canonical instance text."""
+        """Hex sha256 of the canonical instance text: the root's, for a subset."""
         if self._fingerprint is None:
             self._fingerprint = fingerprint(format_instance_text(self.pools))
         return self._fingerprint

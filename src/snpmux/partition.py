@@ -9,15 +9,17 @@ in the residual would only stall termination.
 
 A selection's decodability depends only on the selected primers, so
 every array's design verifies against the one parent instance. Each
-round's sub-instance carries the parent fingerprint, so its DesignResult
-is stamped with it and the residual text is never formatted or hashed.
+round solves ``instance.subset`` of the residual pools, which shares the
+parent's fingerprint and hybridization graph: every DesignResult is
+stamped with the parent fingerprint, the residual text is never
+formatted or hashed, and a graph solver builds the graph in the first
+round only, each later round resetting its run state to the residual.
 Sub-instances keep original pool ids so results map straight back.
 """
 
 import logging
 from dataclasses import dataclass
 
-from .instance import ProblemInstance
 from .solvers import SolverConfig, solve
 
 logger = logging.getLogger(__name__)
@@ -91,8 +93,7 @@ def partition(instance, config=None, max_arrays=None):
 
     arrays = []
     while residual and (max_arrays is None or len(arrays) < max_arrays):
-        sub = ProblemInstance(residual, space, r, fingerprint=instance.fingerprint)
-        result = solve(sub, config)
+        result = solve(instance.subset(residual), config)
         if not result.size:
             # every residual pool is decodable alone, so each solver
             # selects at least one; never loop on an empty round

@@ -124,26 +124,15 @@ class KmerSpace(ProbeSpace):
         return (unpack_value(pid, self.k) for pid in range(self.size))
 
     def spectrum(self, y):
-        # Rolling id of the reverse complement of each k-window. With the
-        # window at [i, i+k), val = sum over t of comp(y[i+t]) * 4**t, which
-        # equals the id of the reverse complement of the window.
-        k = self.k
+        # Read the reverse complement of y as one base-4 number. The window
+        # at [i, i+k) of y is the reverse complement's window that ends i
+        # bases from its 3' end, so its id is the k digits 2i bits up.
         n = len(y)
-        out = set()
-        if n < k:
-            return out
-        code = BASE_CODE
-        ccodes = [3 - code[ch] for ch in y]
-        val = 0
-        for t in range(k):
-            val |= ccodes[t] << (2 * t)
-        out.add(val)
-        top = 2 * (k - 1)
-        add = out.add
-        for i in range(1, n - k + 1):
-            val = (val >> 2) | (ccodes[i + k - 1] << top)
-            add(val)
-        return out
+        if n < self.k:
+            return set()
+        val = int(y[::-1].translate(_COMP_DIGIT), 4)
+        mask = self.size - 1
+        return {(val >> (2 * i)) & mask for i in range(n - self.k + 1)}
 
     def _extension_ids(self, p, extensions):
         # The one window ending at e is the (k-1)-tail of p plus e; its id

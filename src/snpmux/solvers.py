@@ -21,6 +21,12 @@ space: primers first, in pool order, then probes in increasing probe-id
 order, so every deletion rule reads the same arrays. A vertex's degree
 counts its live spectrum and extension-only edges alike.
 
+The adjacency is built once per root instance, on its first graph solve,
+and kept on it (see ProblemInstance.subset). Each later solve resets only
+the run state (live flags and degrees) to the pools it solves: solving an
+instance twice, or one subset of it per partition round, builds nothing
+anew.
+
 They are one loop over a binary heap of (key, vertex) pairs packed
 into single ints. Degrees only decrease, so every decrease pushes a
 fresh entry and pops skip dead or stale ones. The heap yields the
@@ -148,8 +154,10 @@ class HybridizationGraph:
     The run state sits apart from the adjacency: alive flags live
     vertices; d_plus[u] counts u's live unextended neighbours and
     d_total[u] all its live neighbours; live_primers counts live primers.
-    Primers whose unextended spectrum is empty can never witness anything
-    and are pruned at build (counted in pruned_empty).
+    Primers whose unextended spectrum is empty can never witness anything;
+    they get no edges and start every run dead (counted in pruned_empty).
+    ``reset`` sets the run state for a run on some of the pools; a new
+    graph starts with the run on all of them.
     """
 
     def __init__(self, instance):
@@ -196,12 +204,49 @@ class HybridizationGraph:
         self.off_plus, self.nb_plus = off_plus, nb_plus
         self.off_minus, self.nb_minus = off_minus, nb_minus
 
-        self.d_plus = [b - a for a, b in zip(off_plus, islice(off_plus, 1, None))]
-        self.d_total = [d + b - a for d, a, b in
-                        zip(self.d_plus, off_minus, islice(off_minus, 1, None))]
-        self.alive = bytearray(map(bool, self.d_plus[:n])) + b"\x01" * m
-        self.live_primers = n - pruned
-        self.pruned_empty = pruned
+        self.reset(pools)
+
+    def reset(self, pools):
+        """Reset the run state to a run on these pools of the graph.
+
+        The run's primers with a non-empty unextended spectrum start live,
+        and so does every probe one of them reaches, by either sign; every
+        other vertex starts dead, with no live degree. Degrees count up
+        from none through the run's rows, or down from the whole graph's
+        (the offsets' differences) through the other primers' rows,
+        whichever side has fewer primers: a run on every pool walks none.
+        """
+        off_plus, nb_plus = self.off_plus, self.nb_plus
+        off_minus, nb_minus = self.off_minus, self.nb_minus
+        n_run = sum(len(pool.primers) for pool in pools)
+        up = 2 * n_run < self.n_primers
+        # the old state goes first, so the new one can take its memory
+        self.d_plus = self.d_total = self.alive = None
+        if up:
+            d_plus = [0] * (len(off_plus) - 1)
+            d_total = d_plus[:]
+        else:
+            d_plus = [b - a for a, b in zip(off_plus, islice(off_plus, 1, None))]
+            d_total = [d + b - a for d, a, b in zip(d_plus, off_minus, islice(off_minus, 1, None))]
+        if n_run < self.n_primers:
+            step = 1 if up else -1
+            run, pool_start = {pool.id for pool in pools}, self.pool_start
+            for i, pool in enumerate(self.pools):
+                if (pool.id in run) != up:
+                    continue
+                for u in range(pool_start[i], pool_start[i + 1]):
+                    a, b, c, d = off_plus[u], off_plus[u + 1], off_minus[u], off_minus[u + 1]
+                    d_plus[u] += step * (b - a)
+                    d_total[u] += step * (b - a + d - c)
+                    for v in nb_plus[a:b]:
+                        d_plus[v] += step
+                        d_total[v] += step
+                    for v in nb_minus[c:d]:
+                        d_total[v] += step
+        self.d_plus, self.d_total = d_plus, d_total
+        self.alive = bytearray(map(bool, d_total))
+        self.live_primers = self.alive.count(1, 0, self.n_primers)
+        self.pruned_empty = n_run - self.live_primers
 
     @property
     def n_primers(self):
@@ -254,8 +299,20 @@ def _append_transpose(off, nb, n, m):
 
 
 def build_graph(instance):
-    """Build the hybridization graph for an instance."""
+    """Build the hybridization graph for an instance, its run on every pool."""
     return HybridizationGraph(instance)
+
+
+def _run_graph(instance):
+    """The root's graph, built on first use, its run state on this instance's pools."""
+    root = instance.root
+    g = root.graph
+    if g is None:
+        g = root.graph = build_graph(root)
+        if instance.n_pools == root.n_pools:
+            return g  # a fresh graph's run is on all the root's pools
+    g.reset(instance.pools)
+    return g
 
 
 def _cascade(g, stack, push_p=None, push_x=None):
@@ -299,7 +356,7 @@ def _cascade(g, stack, push_p=None, push_x=None):
 
 
 def _initial_prune(g):
-    """Enforce the invariants on the freshly built graph."""
+    """Enforce the invariants on a freshly reset run state."""
     n, r, alive = g.n_primers, g.r, g.alive
     stack = [u for u, d in enumerate(g.d_plus) if alive[u] and d < (r if u < n else 1)]
     if stack:
@@ -357,7 +414,7 @@ def _min_degree_greedy(instance, by_probe):
     (by_probe) pops probes and selects the popped probe's minimum-degree
     unextended primer, favoring sparsely contested regions of the array.
     """
-    g = build_graph(instance)
+    g = _run_graph(instance)
     _initial_prune(g)
     alive = g.alive
     key = g.d_total

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from snpmux import solvers
 from snpmux.decodability import verify_design
 from snpmux.instance import Pool, Primer, ProblemInstance
 from snpmux.partition import (
@@ -9,8 +10,8 @@ from snpmux.partition import (
     coverage_curve,
     partition,
 )
-from snpmux.probespace import KmerSpace
-from snpmux.solvers import SolverConfig, solve
+from snpmux.probespace import CTokenSpace, ExplicitSpace, KmerSpace
+from snpmux.solvers import ALGORITHMS, SolverConfig, solve
 
 
 def _pool(pid, seq, ext="C"):
@@ -115,13 +116,94 @@ def test_sub_instance_keeps_original_ids():
     pools = _copies([("AAAA", 1), ("CCCC", 2)])
     inst = ProblemInstance(pools, KmerSpace(2), 1)
     # partition rounds solve the residual pools as one sparse-id instance
-    sub = ProblemInstance([inst.pools[2], inst.pools[0]], inst.space, inst.redundancy)
+    sub = inst.subset([inst.pools[2], inst.pools[0]])
     assert [pl.id for pl in sub.pools] == [0, 2]
     assert sub.pool_by_id(2) is inst.pools[2]
     with pytest.raises(KeyError):
         sub.pool_by_id(1)
     with pytest.raises(KeyError):
         sub.pool_by_id(3)
+    # it shares the root's settings, and a subset of it shares the same root
+    assert (sub.space, sub.redundancy, sub.fingerprint) == (inst.space, 1, inst.fingerprint)
+    assert sub.root is inst and sub.subset([inst.pools[0]]).root is inst
+    assert inst.root is inst
+
+
+def test_subset_takes_only_its_own_pools():
+    pools = _copies([("AAAA", 1), ("CCCC", 2)])
+    inst = ProblemInstance(pools, KmerSpace(2), 1)
+    sub = inst.subset(inst.pools[:2])
+    for foreign in ([_pool(0, "AAAA")], [inst.pools[2]], [inst.pools[0], inst.pools[0]]):
+        with pytest.raises(ValueError):
+            sub.subset(foreign)
+    assert inst.subset([]).n_pools == 0
+
+
+def _partition_reference(instance, config, max_arrays=None):
+    """The partition loop solving a fresh instance of the residual pools
+    each round, as it did before rounds shared the root's graph."""
+    space, r = instance.space, instance.redundancy
+    uncovered = tuple(pool.id for pool in instance.pools
+                      if all(len(space.spectrum(p.sequence)) < r for p in pool.primers))
+    residual = [pool for pool in instance.pools if pool.id not in uncovered]
+    arrays = []
+    while residual and (max_arrays is None or len(arrays) < max_arrays):
+        result = solve(ProblemInstance(residual, space, r), config)
+        arrays.append(result)
+        taken = set(result.pool_ids())
+        residual = [pool for pool in residual if pool.id not in taken]
+    return arrays, uncovered, tuple(pool.id for pool in residual)
+
+
+def _mixed_pools(rng, n_pools, min_len, max_len):
+    """Seeded pools of one or two primers with two or four extension
+    bases; short primers may have an empty spectrum, and pools of only
+    short primers are undecodable."""
+    pools = []
+    for pid in range(n_pools):
+        primers = []
+        for j in range(rng.randint(1, 2)):
+            seq = "".join(rng.choice("ACGT") for _ in range(rng.randint(min_len, max_len)))
+            ext = "".join(rng.sample("ACGT", rng.choice((2, 4))))
+            primers.append(Primer(seq, ext, "+-"[j]))
+        pools.append(Pool(pid, tuple(primers)))
+    return pools
+
+
+def test_partition_builds_one_graph(monkeypatch):
+    builds = []
+    real_build = solvers.build_graph
+    monkeypatch.setattr(solvers, "build_graph", lambda inst: builds.append(inst) or real_build(inst))
+    inst = ProblemInstance(_mixed_pools(random.Random(89), 40, 1, 9), KmerSpace(3), 2)
+    report = partition(inst, SolverConfig("minprobe"))
+    assert len(report.arrays) > 2 and report.uncovered
+    assert builds == [inst]
+
+
+def test_partition_matches_fresh_instance_per_round():
+    rng = random.Random(83)
+    list_space = ExplicitSpace(sorted({"".join(rng.choice("ACGT") for _ in range(rng.randint(2, 3)))
+                                       for _ in range(30)}))
+    seen_empty = seen_uncovered = seen_remaining = 0
+    for space in (KmerSpace(3), KmerSpace(4), CTokenSpace(4), CTokenSpace(5), list_space):
+        for r in (1, 2, 3):
+            for max_arrays in (None, 2):
+                inst = ProblemInstance(_mixed_pools(rng, 40, 1, 9), space, r)
+                for alg in ALGORITHMS:
+                    cfg = SolverConfig(alg)
+                    report = partition(inst, cfg, max_arrays)
+                    arrays, uncovered, remaining = _partition_reference(inst, cfg, max_arrays)
+                    where = (space.descriptor, r, max_arrays, alg)
+                    assert [res.to_lines() for res in report.arrays] == [
+                        res.to_lines() for res in arrays], where
+                    assert [res.pruned_empty for res in report.arrays] == [
+                        res.pruned_empty for res in arrays], where
+                    assert (report.uncovered, report.remaining) == (uncovered, remaining), where
+                    assert all(res.fingerprint == inst.fingerprint for res in report.arrays)
+                    seen_empty += sum(res.pruned_empty for res in arrays)
+                    seen_uncovered += len(uncovered)
+                    seen_remaining += len(remaining)
+    assert seen_empty and seen_uncovered and seen_remaining
 
 
 def test_report_fraction_edge_cases():

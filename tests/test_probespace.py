@@ -69,6 +69,26 @@ def test_kmer_spectrum_matches_naive_scan():
             assert space.spectrum(target) == _naive_spectrum(roster, target)
 
 
+def _kmer_id(probe):
+    pid = 0
+    for base in probe:
+        pid = 4 * pid + "ACGT".index(base)
+    return pid
+
+
+def test_kmer_spectrum_matches_window_slicing():
+    # every k, and every length around k: shorter (no window), equal (one)
+    # and longer, up to 40 bases
+    rng = random.Random(13)
+    for k in range(1, 17):
+        space = KmerSpace(k)
+        for n in range(41):
+            for _ in range(3):
+                target = "".join(rng.choice("ACGT") for _ in range(n))
+                expected = {_kmer_id(_rc(target[i:i + k])) for i in range(n - k + 1)}
+                assert space.spectrum(target) == expected, (k, target)
+
+
 def test_kmer_extended_spectrum():
     space = KmerSpace(2)
     # AAA extended by C is AAAC: windows AA, AA, AC -> probes TT, GT

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from snpmux import solvers
 from snpmux.datasets import RandomSpec, generate_random
 from snpmux.decodability import (
     DesignResult,
@@ -279,6 +280,74 @@ def test_cascade_keeps_degrees_equal_to_a_recount():
             for u in live:
                 if g.alive[u] and key[u] != before[u]:
                     assert (u, key[u]) in pushed, (trial, u)
+
+
+def _vertex_map(g, fresh, sub):
+    """Send each vertex of fresh, a graph built for sub, to its vertex in
+    g, the graph of sub's root: primers by pool id and position in the
+    pool, probes by probe id."""
+    root_pos = {pool.id: i for i, pool in enumerate(g.pools)}
+    to_root = {}
+    for j, pool in enumerate(sub.pools):
+        i = root_pos[pool.id]
+        for t in range(len(pool.primers)):
+            to_root[fresh.pool_start[j] + t] = g.pool_start[i] + t
+    rank = {x: k for k, x in enumerate(g.probe_ids)}
+    for k, x in enumerate(fresh.probe_ids):
+        to_root[fresh.n_primers + k] = g.n_primers + rank[x]
+    return to_root
+
+
+def _live_state(g, to_root=None):
+    return {(to_root[u] if to_root else u): (g.d_plus[u], g.d_total[u])
+            for u in range(len(g.alive)) if g.alive[u]}
+
+
+def test_reset_matches_a_fresh_build_of_the_subset():
+    rng = random.Random(103)
+    sizes = set()
+    for trial in range(30):
+        r = 1 + trial % 3
+        inst = _random_instance(rng, 16, 2 + trial % 2, r)
+        g = build_graph(inst)
+        for _ in range(6):
+            pools = [pool for pool in inst.pools if rng.random() < rng.random()]
+            sub = inst.subset(pools)
+            g.reset(sub.pools)
+            fresh = build_graph(sub)
+            to_root = _vertex_map(g, fresh, sub)
+            for pruned in (False, True):
+                if pruned:
+                    _initial_prune(g)
+                    _initial_prune(fresh)
+                    _assert_degrees_recount(g)
+                assert _live_state(g) == _live_state(fresh, to_root), (trial, pruned)
+                assert (g.live_primers, g.pruned_empty) == (fresh.live_primers, fresh.pruned_empty)
+            # whatever a run leaves behind, the next reset starts over
+            live = [u for u in range(len(g.alive)) if g.alive[u]]
+            if live:
+                _cascade(g, rng.sample(live, min(3, len(live))))
+            sizes.add(2 * sum(len(pool.primers) for pool in pools) < g.n_primers)
+    assert sizes == {False, True}  # both counting directions were exercised
+
+
+def test_solves_sharing_a_graph_match_fresh_instances(monkeypatch):
+    builds = []
+    real_build = solvers.build_graph
+    monkeypatch.setattr(solvers, "build_graph", lambda inst: builds.append(inst) or real_build(inst))
+    rng = random.Random(107)
+    for trial in range(12):
+        inst = _random_instance(rng, 20, 2 + trial % 2, 1 + trial % 2)
+        builds.clear()
+        for sub in (inst, inst.subset(inst.pools[::2]), inst.subset(inst.pools[1:])):
+            for alg in ("minprimer", "minprobe", "minprimer"):
+                fresh = ProblemInstance(sub.pools, sub.space, sub.redundancy)
+                got = solve(sub, SolverConfig(alg))
+                want = solve(fresh, SolverConfig(alg))
+                assert (got.selected, got.pruned_empty) == (want.selected, want.pruned_empty)
+                assert got.fingerprint == inst.fingerprint
+        # one build for the root, and one for each fresh copy
+        assert builds.count(inst) == 1 and len(builds) == 10
 
 
 # sha256 of "\n".join(result.to_lines()) for 400 pools x 2 primers of
