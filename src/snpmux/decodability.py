@@ -14,6 +14,7 @@ claimed design.
 
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 
 from .instance import InstanceFormatError, records
 
@@ -78,31 +79,33 @@ def parse_design_lines(text, comments=None):
         try:
             pool_id = int(fields[0])
             primer_index = int(fields[1])
-            witnesses = tuple(int(w) for w in fields[2].split(",")) if fields[2] else ()
+            witnesses = tuple(sorted(map(int, fields[2].split(",")))) if fields[2] else ()
         except ValueError:
             raise InstanceFormatError("malformed design entry %r" % "\t".join(fields), line_no)
         if pool_id < 0:
             raise InstanceFormatError("pool id must be non-negative, got %d" % pool_id, line_no)
-        entries.append(SelectedPool(pool_id, primer_index, tuple(sorted(witnesses))))
+        entries.append(SelectedPool(pool_id, primer_index, witnesses))
     return entries
 
 
 def _coverage(space, primers):
-    """One pass over every primer's adjacency: (N+ per primer, cover).
+    """One count over every primer's products: (N+ per primer, cover).
 
     cover[x] counts the primers whose extended products reach probe x. A
     probe is informative for the single primer covering it when that
-    primer reaches it unextended, i.e. it is in its N+ with cover 1.
+    primer reaches it unextended, i.e. it is in its N+ with cover 1. The
+    N+ and N- tuples stream into one Counter, and only the N+ are kept.
     """
     specs = []
-    cover = {}
-    for primer in primers:
-        nplus, nminus = space.primer_adjacency(primer.sequence, primer.extensions)
-        specs.append(nplus)
-        for x in nplus:
-            cover[x] = cover.get(x, 0) + 1
-        for x in nminus:
-            cover[x] = cover.get(x, 0) + 1
+
+    def products():
+        for primer in primers:
+            nplus, nminus = space.primer_adjacency(primer.sequence, primer.extensions)
+            specs.append(nplus)
+            yield nplus
+            yield nminus
+
+    cover = Counter(chain.from_iterable(products()))
     return specs, cover
 
 
@@ -199,7 +202,7 @@ def verify_design(result, instance):
     specs, cover = _coverage(space, primers)
     witness_owner = {}
     for entry, spec in zip(valid, specs):
-        informative = sum(1 for x in spec if cover[x] == 1)
+        informative = list(map(cover.__getitem__, spec)).count(1)
         if informative < r:
             add(Violation(entry.pool_id, KIND_INFORMATIVE,
                           "%d informative probe(s), need %d" % (informative, r)))

@@ -54,10 +54,14 @@ def normalize(text, *, what="sequence", allow_degenerate=False):
     """Uppercase text and validate it against the IUPAC alphabet.
 
     With allow_degenerate=False (the default) any base outside ACGT is
-    rejected; otherwise any IUPAC code passes. Raises SequenceError.
+    rejected; otherwise any IUPAC code passes. Raises SequenceError. Text
+    already in the allowed alphabet comes back unchanged, as the same
+    object; only other text is stripped and uppercased first.
     """
-    seq = text.strip().upper()
     allowed = IUPAC if allow_degenerate else _ACGT
+    if allowed.issuperset(text):
+        return text
+    seq = text.strip().upper()
     if not allowed.issuperset(seq):
         i, c = next((i, c) for i, c in enumerate(seq) if c not in allowed)
         raise SequenceError(

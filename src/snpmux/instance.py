@@ -16,6 +16,7 @@ Pool ids must be dense 0..n-1.
 """
 
 import bisect
+import functools
 import hashlib
 import re
 from dataclasses import dataclass
@@ -83,9 +84,25 @@ def records(text, n_fields, comments=None):
             yield line_no, fields
 
 
+@functools.lru_cache(maxsize=128)
+def _extension_set(text):
+    """The sorted extension set that text names; raises ValueError when it
+    names none. A rejected text raises on every call and is never cached."""
+    ext = normalize(text, what="extension set")
+    if not 1 <= len(ext) <= 4:
+        raise ValueError("extension set must have 1-4 bases, got %r" % (text,))
+    if len(set(ext)) != len(ext):
+        raise ValueError("duplicate extension base in %r" % (text,))
+    return "".join(sorted(ext))
+
+
 @dataclass(frozen=True, slots=True)
 class Primer:
     """One extension primer: sequence, extension bases, strand tag; its Pool holds the id.
+
+    Fields are checked in the order sequence, extensions, strand, so the
+    first bad one names the error. An extension set is checked and sorted
+    by a small cached helper, so each distinct text is checked once.
 
     Args:
         sequence: primer bases, 5' to 3', non-degenerate.
@@ -102,15 +119,13 @@ class Primer:
         seq = normalize(self.sequence, what="primer sequence")
         if not seq:
             raise SequenceError("primer sequence is empty")
-        ext = normalize(self.extensions, what="extension set")
-        if not 1 <= len(ext) <= 4:
-            raise ValueError("extension set must have 1-4 bases, got %r" % (self.extensions,))
-        if len(set(ext)) != len(ext):
-            raise ValueError("duplicate extension base in %r" % (self.extensions,))
+        ext = _extension_set(self.extensions)
         if self.strand not in STRANDS:
             raise ValueError("strand must be one of + - . , got %r" % (self.strand,))
-        object.__setattr__(self, "sequence", seq)
-        object.__setattr__(self, "extensions", "".join(sorted(ext)))
+        if seq is not self.sequence:
+            object.__setattr__(self, "sequence", seq)
+        if ext is not self.extensions:  # the cached string, shared per distinct text
+            object.__setattr__(self, "extensions", ext)
 
 
 @dataclass(frozen=True, slots=True)
@@ -123,13 +138,15 @@ class Pool:
     def __post_init__(self):
         if self.id < 0:
             raise ValueError("pool id must be non-negative, got %r" % (self.id,))
-        primers = tuple(self.primers)
+        primers = self.primers
+        if type(primers) is not tuple:
+            primers = tuple(primers)
+            object.__setattr__(self, "primers", primers)
         if not 1 <= len(primers) <= 2:
             raise ValueError("pool %d must hold 1 or 2 primers, got %d" % (self.id, len(primers)))
-        strands = [p.strand for p in primers]
-        if len(set(strands)) != len(strands):
-            raise ValueError("pool %d has two primers with strand tag %r" % (self.id, strands[0]))
-        object.__setattr__(self, "primers", primers)
+        if len(primers) == 2 and primers[0].strand == primers[1].strand:
+            raise ValueError(
+                "pool %d has two primers with strand tag %r" % (self.id, primers[0].strand))
 
 
 class ProblemInstance:
@@ -209,29 +226,33 @@ def parse_instance_text(text):
 
     Raises InstanceFormatError with a line number on malformed input.
     """
-    by_pool = {}
+    by_pool = {}  # pool id -> [its first line number, primer, ...]
     for line_no, (pid_text, strand, seq, ext) in records(text, 4):
         try:
             pool_id = int(pid_text)
         except ValueError:
             raise InstanceFormatError("pool id %r is not an integer" % pid_text, line_no)
         try:
-            primer = Primer(sequence=seq, extensions=ext, strand=strand)
+            primer = Primer(seq, ext, strand)
         except ValueError as exc:
             raise InstanceFormatError(str(exc), line_no)
-        by_pool.setdefault(pool_id, []).append((line_no, primer))
+        group = by_pool.get(pool_id)
+        if group is None:
+            by_pool[pool_id] = [line_no, primer]
+        else:
+            group.append(primer)
 
     pools = []
     for pos, pool_id in enumerate(sorted(by_pool)):
-        entries = by_pool[pool_id]
+        group = by_pool[pool_id]
         try:
-            pools.append(Pool(id=pool_id, primers=tuple(p for _, p in entries)))
+            pools.append(Pool(pool_id, tuple(group[1:])))
         except ValueError as exc:
-            raise InstanceFormatError(str(exc), entries[0][0])
+            raise InstanceFormatError(str(exc), group[0])
         if pool_id != pos:
             raise InstanceFormatError(
                 "pool ids must be dense 0..%d: expected pool id %d, got %d"
-                % (len(by_pool) - 1, pos, pool_id), entries[0][0])
+                % (len(by_pool) - 1, pos, pool_id), group[0])
     return pools
 
 

@@ -9,15 +9,17 @@ import random
 
 import pytest
 
+from snpmux.datasets import RandomSpec, generate_random
 from snpmux.decodability import (
     DesignResult,
     SelectedPool,
+    _coverage,
     is_strongly_r_decodable,
     parse_design_lines,
     verify_design,
 )
 from snpmux.instance import Pool, Primer, ProblemInstance
-from snpmux.probespace import KmerSpace
+from snpmux.probespace import CTokenSpace, ExplicitSpace, KmerSpace
 
 
 def _naive_informative(primer, others, space):
@@ -102,6 +104,51 @@ def test_checker_agrees_with_naive_definition():
             agree_false += 1
     # the sample must exercise both outcomes
     assert agree_true > 10 and agree_false > 10
+
+
+def _ref_coverage(space, primers):
+    # the per-probe dict count the one-pass Counter replaced
+    specs = []
+    cover = {}
+    for primer in primers:
+        nplus, nminus = space.primer_adjacency(primer.sequence, primer.extensions)
+        specs.append(nplus)
+        for x in nplus + nminus:
+            cover[x] = cover.get(x, 0) + 1
+    return specs, cover
+
+
+def _ref_witnesses(primers, r, space):
+    specs, cover = _ref_coverage(space, primers)
+    witnesses = []
+    for nplus in specs:
+        own = [x for x in nplus if cover[x] == 1]
+        if len(own) < r:
+            return False, None
+        witnesses.append(tuple(own[:r]))
+    return True, witnesses
+
+
+def test_coverage_kernel_matches_a_per_probe_count():
+    rng = random.Random(2113)
+    spaces = [KmerSpace(3), KmerSpace(4), CTokenSpace(5), CTokenSpace(6),
+              ExplicitSpace(["AC", "CGT", "GGA", "TTAC", "CA", "ATG", "GT", "TGCA"])]
+    outcomes = set()
+    for space in spaces:
+        for mode in ("pair", "all4"):
+            for _ in range(6):
+                spec = RandomSpec(rng.randint(1, 12), rng.randint(1, 2), rng.randint(3, 9),
+                                  mode, rng.getrandbits(64))
+                primers = [p for pool in generate_random(spec) for p in pool.primers]
+                rng.shuffle(primers)
+                primers = primers[:rng.randint(0, len(primers))]
+                specs, cover = _coverage(space, primers)
+                assert (specs, dict(cover)) == _ref_coverage(space, primers)
+                for r in (1, 2):
+                    got = is_strongly_r_decodable(primers, r, space)
+                    assert got == _ref_witnesses(primers, r, space)
+                    outcomes.add(got[0])
+    assert outcomes == {True, False}
 
 
 def test_decodability_is_monotone_in_r():

@@ -1,3 +1,4 @@
+import itertools
 import random
 import sys
 import tracemalloc
@@ -12,6 +13,7 @@ from snpmux.instance import (
     Pool,
     Primer,
     ProblemInstance,
+    _extension_set,
     format_instance_text,
     parse_instance_text,
     records,
@@ -101,6 +103,167 @@ def test_parse_reports_line_numbers():
     # only "\n" ends a line: a form feed inside a comment is comment text
     with pytest.raises(InstanceFormatError, match="line 3: .*invalid character 'Q'"):
         parse_instance_text("0\t.\tACGT\tA\n# note\x0cwith a form feed\n1\t.\tACQT\tA\n")
+
+
+def _ref_normalize(text, what):
+    seq = text.strip().upper()
+    for i, c in enumerate(seq):
+        if c not in "ACGT":
+            raise ValueError(
+                "invalid character %r at position %d in %s %r" % (c, i, what, text))
+    return seq
+
+
+def _ref_primer(seq, ext, strand):
+    seq_n = _ref_normalize(seq, "primer sequence")
+    if not seq_n:
+        raise ValueError("primer sequence is empty")
+    ext_n = _ref_normalize(ext, "extension set")
+    if not 1 <= len(ext_n) <= 4:
+        raise ValueError("extension set must have 1-4 bases, got %r" % (ext,))
+    if len(set(ext_n)) != len(ext_n):
+        raise ValueError("duplicate extension base in %r" % (ext,))
+    if strand not in ("+", "-", "."):
+        raise ValueError("strand must be one of + - . , got %r" % (strand,))
+    return strand, seq_n, "".join(sorted(ext_n))
+
+
+def _ref_parse(text):
+    """The parse, Primer and Pool checks as they stood before primer lines
+    were checked through a cached helper: [(pool id, ((strand, sequence,
+    extensions), ...)), ...]."""
+    by_pool = {}
+    for line_no, (pid_text, strand, seq, ext) in records(text, 4):
+        try:
+            pool_id = int(pid_text)
+        except ValueError:
+            raise InstanceFormatError("pool id %r is not an integer" % pid_text, line_no)
+        try:
+            primer = _ref_primer(seq, ext, strand)
+        except ValueError as exc:
+            raise InstanceFormatError(str(exc), line_no)
+        by_pool.setdefault(pool_id, []).append((line_no, primer))
+    pools = []
+    for pos, pool_id in enumerate(sorted(by_pool)):
+        entries = by_pool[pool_id]
+        primers = tuple(p for _, p in entries)
+        strands = [p[0] for p in primers]
+        if pool_id < 0:
+            message = "pool id must be non-negative, got %r" % (pool_id,)
+        elif not 1 <= len(primers) <= 2:
+            message = "pool %d must hold 1 or 2 primers, got %d" % (pool_id, len(primers))
+        elif len(set(strands)) != len(strands):
+            message = "pool %d has two primers with strand tag %r" % (pool_id, strands[0])
+        elif pool_id != pos:
+            message = "pool ids must be dense 0..%d: expected pool id %d, got %d" % (
+                len(by_pool) - 1, pos, pool_id)
+        else:
+            pools.append((pool_id, primers))
+            continue
+        raise InstanceFormatError(message, entries[0][0])
+    return pools
+
+
+def _parse_outcome(parse, text):
+    try:
+        pools = parse(text)
+    except InstanceFormatError as exc:
+        return str(exc), exc.line_no
+    if parse is _ref_parse:
+        return pools
+    assert all(type(pl.primers) is tuple for pl in pools)
+    return [(pl.id, tuple((p.strand, p.sequence, p.extensions) for p in pl.primers))
+            for pl in pools]
+
+
+_EXTENSION_SETS = ["".join(c) for n in range(1, 5) for c in itertools.combinations("ACGT", n)]
+
+
+_HARMLESS = ["lower", "space", "permute"]
+_POOL_LEVEL = _HARMLESS + ["pid-negative", "pid-other", "copy", "twin"]
+_ANY_LEVEL = _POOL_LEVEL + ["repeat", "five", "empty", "bad-base", "strand", "pid-text"]
+
+
+def _mutate(draw, kinds, fields, n_pools):
+    """Apply one drawn mutation to a line's [pool id, strand, sequence,
+    extensions]; a returned list is an extra line to add."""
+    kind = draw(st.sampled_from(kinds))
+    if kind == "lower":
+        i = draw(st.sampled_from([2, 3]))
+        fields[i] = "".join(c.lower() if draw(st.booleans()) else c for c in fields[i])
+    elif kind == "space":
+        i = draw(st.integers(0, 3))
+        fields[i] = draw(st.text(" ", max_size=2)) + fields[i] + draw(st.text(" ", max_size=2))
+    elif kind == "permute":
+        fields[3] = "".join(draw(st.permutations(fields[3])))
+    elif kind == "repeat":
+        fields[3] += draw(st.sampled_from(fields[3].strip() or "A"))
+    elif kind == "five":
+        fields[3] = draw(st.text("ACGTacgt", min_size=5, max_size=6))
+    elif kind == "empty":
+        fields[2] = draw(st.text(" ", max_size=1))
+    elif kind == "bad-base":
+        i = draw(st.sampled_from([2, 3]))
+        at = draw(st.integers(0, len(fields[i])))
+        fields[i] = fields[i][:at] + draw(st.sampled_from("NRYnx!U-")) + fields[i][at:]
+    elif kind == "strand":
+        fields[1] = draw(st.sampled_from(["x", "+-", "*", "0", "", "..", "\u2212"]))
+    elif kind == "pid-text":
+        fields[0] = draw(st.sampled_from(["a", "1.5", "", "0x1", "one"]))
+    elif kind == "pid-negative":
+        fields[0] = "-%d" % draw(st.integers(1, 3))
+    elif kind == "pid-other":
+        fields[0] = str(draw(st.integers(0, n_pools + 1)))
+    else:
+        copy = list(fields)
+        if kind == "copy":
+            copy[1] = draw(st.sampled_from("+-."))
+        return copy
+    return None
+
+
+@st.composite
+def _instance_texts(draw):
+    n_pools = draw(st.integers(1, 4))
+    lines = []
+    for pid in range(n_pools):
+        for strand in draw(st.sampled_from([".", "+", "-", "+-", "-+"])):
+            lines.append([str(pid), strand, draw(st.text("ACGT", min_size=1, max_size=6)),
+                          draw(st.sampled_from(_EXTENSION_SETS))])
+    # a bad field stops the parse before any pool is checked, so some
+    # texts keep every field good
+    kinds = draw(st.sampled_from([_POOL_LEVEL, _ANY_LEVEL]))
+    extra = []
+    for fields in lines:
+        for _ in range(draw(st.integers(0, 3) if draw(st.booleans()) else st.just(0))):
+            added = _mutate(draw, kinds, fields, n_pools)
+            if added is not None:
+                extra.append(added)
+    lines = draw(st.permutations(lines + extra))
+    return "".join("\t".join(fields) + "\n" for fields in lines)
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(text=_instance_texts())
+def test_parse_matches_the_reference_parser(text):
+    # equal pools, or the same message on the same line
+    assert _parse_outcome(parse_instance_text, text) == _parse_outcome(_ref_parse, text)
+
+
+def test_extension_sets_are_checked_once_and_never_cache_an_error():
+    for _ in range(2):
+        with pytest.raises(ValueError, match="duplicate extension base in 'AA'"):
+            Primer("ACGT", "AA")
+    p = Primer("acgt", " ta ")
+    assert (p.sequence, p.extensions) == ("ACGT", "AT")
+    # every primer given one extension text shares its stored string
+    assert Primer("GG", " ta ").extensions is p.extensions
+    before = _extension_set.cache_info()
+    for ext in itertools.islice(map("".join, itertools.product("ACGT", repeat=5)), 1000):
+        with pytest.raises(ValueError, match="1-4 bases"):
+            Primer("ACGT", ext)
+    after = _extension_set.cache_info()
+    assert after.currsize == before.currsize <= after.maxsize
 
 
 _SPACES = "".join(c for c in map(chr, range(sys.maxunicode + 1)) if c.isspace())
