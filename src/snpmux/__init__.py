@@ -11,21 +11,11 @@ __version__ = "0.1.0"
 from .dnaseq import complement, reverse_complement, weight, is_degenerate
 from .probespace import KmerSpace, CTokenSpace, ExplicitSpace, make_space
 from .instance import Primer, Pool, ProblemInstance
-from .decodability import (
-    DesignResult,
-    SelectedPool,
-    is_strongly_r_decodable,
-    verify_design,
-)
+from .decodability import DesignResult, SelectedPool, verify_design
 from .solvers import SolverConfig, build_graph, solve
 from .partition import partition, coverage_curve
 from .datasets import RandomSpec, generate_random, load_snp_table
-from .oracles import (
-    BipartiteGraph,
-    brute_force_mim,
-    brute_force_max_decodable,
-    reduce_matching_to_design,
-)
+from .oracles import BipartiteGraph, reduce_matching_to_design
 
 __all__ = [
     "complement",
@@ -42,7 +32,6 @@ __all__ = [
     "build_graph",
     "DesignResult",
     "SelectedPool",
-    "is_strongly_r_decodable",
     "verify_design",
     "SolverConfig",
     "solve",
@@ -52,8 +41,6 @@ __all__ = [
     "generate_random",
     "load_snp_table",
     "BipartiteGraph",
-    "brute_force_mim",
-    "brute_force_max_decodable",
     "reduce_matching_to_design",
     "__version__",
 ]

@@ -109,27 +109,6 @@ def _coverage(space, primers):
     return specs, cover
 
 
-def is_strongly_r_decodable(primers, r, space):
-    """Check that every primer keeps >= r informative probes.
-
-    Coverage is counted once across all extended spectra, so the check is
-    linear in total spectrum size.
-
-    Returns (True, witness_sets) with one sorted tuple of exactly the r
-    lowest informative probe ids per primer, or (False, None).
-    """
-    if r < 1:
-        raise ValueError("redundancy must be >= 1, got %r" % (r,))
-    specs, cover = _coverage(space, primers)
-    witnesses = []
-    for nplus in specs:
-        own = [x for x in nplus if cover[x] == 1]
-        if len(own) < r:
-            return False, None
-        witnesses.append(tuple(own[:r]))
-    return True, witnesses
-
-
 @dataclass(frozen=True)
 class Violation:
     pool_id: int  # -1 for violations not tied to one pool

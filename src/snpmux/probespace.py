@@ -27,7 +27,7 @@ A space only says which probes those end windows hit.
 
 import functools
 
-from .dnaseq import BASE_CODE, SequenceError, normalize, reverse_complement, unpack_value, weight
+from .dnaseq import BASE_CODE, SequenceError, normalize, reverse_complement, unpack_value
 from .instance import InstanceFormatError, read_text, records
 
 KMER_MIN, KMER_MAX = 1, 16
@@ -39,17 +39,6 @@ _COMP_DIGIT = str.maketrans("ACGT", "3210")  # base -> code of its complement
 
 class ConfigError(ValueError):
     """Raised for probe-space or solver parameters outside supported bounds."""
-
-
-def is_ctoken(seq, c):
-    """True iff seq has weight >= c and every proper suffix has weight < c.
-
-    Suffix weights are monotone in length, so only the longest proper
-    suffix needs checking.
-    """
-    if not seq:
-        return False
-    return weight(seq) >= c and weight(seq[1:]) < c
 
 
 def count_ctokens(c):

@@ -264,12 +264,18 @@ class HybridizationGraph:
 
     @property
     def pn_plus(self):
-        """N+ of every primer as probe vertices: a read-only view, copied per access."""
+        """N+ of every primer as probe vertices, copied per access.
+
+        Only the benchmark's tracer, perfbench/spans.py, reads it.
+        """
         return [tuple(self.row(u)) for u in range(self.n_primers)]
 
     @property
     def pn_minus(self):
-        """N- of every primer as probe vertices: a read-only view, copied per access."""
+        """N- of every primer as probe vertices, copied per access.
+
+        Only the benchmark's tracer, perfbench/spans.py, reads it.
+        """
         return [tuple(self.row(u, minus=True)) for u in range(self.n_primers)]
 
 

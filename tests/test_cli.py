@@ -476,7 +476,8 @@ def test_ingest_writes_instance_and_skips(tmp_path, capsys):
 
 
 def test_reduce_pipeline_matches_mim(tmp_path):
-    from snpmux.oracles import BipartiteGraph, brute_force_mim
+    from reference import brute_force_mim
+    from snpmux.oracles import BipartiteGraph
 
     edges = [(0, 0), (1, 0), (1, 1), (2, 1), (2, 2)]
     edge_file = tmp_path / "edges.tsv"

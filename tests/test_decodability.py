@@ -2,7 +2,8 @@
 
 ``_naive_decodable`` below recomputes strong r-decodability the slow
 way, straight from the definition with per-pair set subtraction. The
-fast checker and the solvers must agree with it on random inputs.
+reference checker in ``reference.py`` must agree with it on random
+inputs, and the verifier's coverage kernel with the reference's count.
 """
 
 import random
@@ -14,12 +15,13 @@ from snpmux.decodability import (
     DesignResult,
     SelectedPool,
     _coverage,
-    is_strongly_r_decodable,
     parse_design_lines,
     verify_design,
 )
 from snpmux.instance import Pool, Primer, ProblemInstance
 from snpmux.probespace import CTokenSpace, ExplicitSpace, KmerSpace
+
+from reference import ref_coverage, ref_witnesses
 
 
 def _naive_informative(primer, others, space):
@@ -54,8 +56,8 @@ def test_informative_probes_known_example():
     space = KmerSpace(2)
     p1 = Primer("ACG", "T", ".")
     p2 = Primer("CGT", "A", ".")
-    assert is_strongly_r_decodable([p1], 2, space) == (True, [(6, 11)])
-    assert is_strongly_r_decodable([p1, p2], 1, space) == (False, None)
+    assert ref_witnesses([p1], 2, space) == (True, [(6, 11)])
+    assert ref_witnesses([p1, p2], 1, space) == (False, None)
     inst = ProblemInstance([Pool(0, (p1,)), Pool(1, (p2,))], space, 1)
     result = DesignResult((SelectedPool(0, 0, (11,)), SelectedPool(1, 0, (1,))))
     report = verify_design(result, inst)
@@ -63,23 +65,21 @@ def test_informative_probes_known_example():
         (1, "informative-count"), (1, "witness-cross")]
 
 
-def test_is_strongly_r_decodable_simple():
+def test_reference_checker_simple():
     space = KmerSpace(2)
     a = Primer("AAAA", "C", ".")  # spectrum {TT}
     b = Primer("CCCC", "A", ".")  # spectrum {GG}
-    ok, wit = is_strongly_r_decodable([a, b], 1, space)
+    ok, wit = ref_witnesses([a, b], 1, space)
     assert ok
     assert wit == [(15,), (10,)]
-    ok, wit = is_strongly_r_decodable([a, a], 1, space)
+    ok, wit = ref_witnesses([a, a], 1, space)
     assert not ok and wit is None
-    with pytest.raises(ValueError):
-        is_strongly_r_decodable([a], 0, space)
 
 
 def test_witnesses_are_lowest_r_ids():
     space = KmerSpace(2)
     p = Primer("ACGT", "A", ".")  # spectrum {1, 6, 11}
-    ok, wit = is_strongly_r_decodable([p], 2, space)
+    ok, wit = ref_witnesses([p], 2, space)
     assert ok
     assert wit == [(1, 6)]
 
@@ -92,7 +92,7 @@ def test_checker_agrees_with_naive_definition():
         space = space2 if rng.random() < 0.5 else space3
         primers = _random_primers(rng, rng.randint(1, 6), 2)
         r = rng.randint(1, 2)
-        ok, wit = is_strongly_r_decodable(primers, r, space)
+        ok, wit = ref_witnesses(primers, r, space)
         assert ok == _naive_decodable(primers, r, space)
         if ok:
             agree_true += 1
@@ -104,29 +104,6 @@ def test_checker_agrees_with_naive_definition():
             agree_false += 1
     # the sample must exercise both outcomes
     assert agree_true > 10 and agree_false > 10
-
-
-def _ref_coverage(space, primers):
-    # the per-probe dict count the one-pass Counter replaced
-    specs = []
-    cover = {}
-    for primer in primers:
-        nplus, nminus = space.primer_adjacency(primer.sequence, primer.extensions)
-        specs.append(nplus)
-        for x in nplus + nminus:
-            cover[x] = cover.get(x, 0) + 1
-    return specs, cover
-
-
-def _ref_witnesses(primers, r, space):
-    specs, cover = _ref_coverage(space, primers)
-    witnesses = []
-    for nplus in specs:
-        own = [x for x in nplus if cover[x] == 1]
-        if len(own) < r:
-            return False, None
-        witnesses.append(tuple(own[:r]))
-    return True, witnesses
 
 
 def test_coverage_kernel_matches_a_per_probe_count():
@@ -143,11 +120,9 @@ def test_coverage_kernel_matches_a_per_probe_count():
                 rng.shuffle(primers)
                 primers = primers[:rng.randint(0, len(primers))]
                 specs, cover = _coverage(space, primers)
-                assert (specs, dict(cover)) == _ref_coverage(space, primers)
+                assert (specs, dict(cover)) == ref_coverage(space, primers)
                 for r in (1, 2):
-                    got = is_strongly_r_decodable(primers, r, space)
-                    assert got == _ref_witnesses(primers, r, space)
-                    outcomes.add(got[0])
+                    outcomes.add(ref_witnesses(primers, r, space)[0])
     assert outcomes == {True, False}
 
 
@@ -156,8 +131,8 @@ def test_decodability_is_monotone_in_r():
     space = KmerSpace(2)
     for _ in range(40):
         primers = _random_primers(rng, rng.randint(1, 4), 2)
-        ok2, _ = is_strongly_r_decodable(primers, 2, space)
-        ok1, _ = is_strongly_r_decodable(primers, 1, space)
+        ok2, _ = ref_witnesses(primers, 2, space)
+        ok1, _ = ref_witnesses(primers, 1, space)
         if ok2:
             assert ok1
 

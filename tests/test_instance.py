@@ -337,8 +337,8 @@ def test_graph_structure_single_extension():
     assert g.row(0, minus=True).tolist() == [2]
     assert (g.d_plus[0], g.d_total[0]) == (2, 3)
     # primer 1: N+ = probes 1,6 -> vertices 2,3; N- = probe 12 -> vertex 5
-    assert g.pn_plus == [(3, 4), (2, 3)]
-    assert g.pn_minus == [(2,), (5,)]
+    assert g.row(1).tolist() == [2, 3]
+    assert g.row(1, minus=True).tolist() == [5]
     # probe CG (id 6, vertex 3) is reached unextended by both primers
     assert g.row(3).tolist() == [0, 1]
     assert (g.d_plus[3], g.d_total[3]) == (2, 2)
@@ -442,8 +442,6 @@ def test_graph_matches_naive_adjacency():
             assert g.pruned_empty == len(empty)
             assert g.live_primers == n - len(empty)
             assert [u for u in range(size) if not g.alive[u]] == empty
-            assert g.pn_plus == [tuple(row) for row in plus[:n]]
-            assert g.pn_minus == [tuple(row) for row in minus[:n]]
             pruned_seen += len(empty)
     assert pruned_seen
 
@@ -460,6 +458,6 @@ def test_graph_memory_per_edge_is_bounded():
         kept = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    edges = sum(map(len, g.pn_plus)) + sum(map(len, g.pn_minus))
+    edges = sum(len(g.row(u)) + len(g.row(u, minus=True)) for u in range(g.n_primers))
     assert edges > 60000
     assert kept / edges < 55

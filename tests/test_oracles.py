@@ -5,19 +5,37 @@ from itertools import product
 
 import pytest
 
+import snpmux
 from snpmux.datasets import RandomSpec, generate_random
-from snpmux.decodability import is_strongly_r_decodable, verify_design
+from snpmux.decodability import verify_design
 from snpmux.dnaseq import reverse_complement
 from snpmux.instance import Pool, Primer, ProblemInstance
-from snpmux.oracles import (
-    BipartiteGraph,
+from snpmux.oracles import BipartiteGraph, reduce_matching_to_design
+from snpmux.probespace import CTokenSpace, KmerSpace
+from snpmux.solvers import build_graph
+
+from reference import (
     SizeLimitError,
     brute_force_max_decodable,
     brute_force_mim,
-    reduce_matching_to_design,
+    ref_witnesses,
 )
-from snpmux.probespace import CTokenSpace, KmerSpace
-from snpmux.solvers import build_graph
+
+
+def test_public_api_is_pinned():
+    # the exact searches and the reference checker live in tests/reference.py;
+    # a name only tests use must not re-enter the package's public API
+    assert snpmux.__all__ == [
+        "complement", "reverse_complement", "weight", "is_degenerate",
+        "KmerSpace", "CTokenSpace", "ExplicitSpace", "make_space",
+        "Primer", "Pool", "ProblemInstance", "build_graph",
+        "DesignResult", "SelectedPool", "verify_design",
+        "SolverConfig", "solve", "partition", "coverage_curve",
+        "RandomSpec", "generate_random", "load_snp_table",
+        "BipartiteGraph", "reduce_matching_to_design", "__version__",
+    ]
+    for name in snpmux.__all__:
+        assert getattr(snpmux, name) is not None, name
 
 
 def test_bipartite_graph_validation():
@@ -116,14 +134,13 @@ def test_brute_force_max_decodable_cap():
 
 
 def _max_decodable_reference(inst):
-    """The optimum by plain enumeration, sharing no code with the search:
-    every pool is skipped or gets one of its primers, and the largest
-    assignment the decodability checker accepts wins."""
+    """The optimum by plain enumeration, sharing no code with the search's
+    first_fit branching: every pool is skipped or gets one of its primers,
+    and the largest assignment the reference checker accepts wins."""
     best = 0
     for choice in product(*[(None,) + pool.primers for pool in inst.pools]):
         primers = [p for p in choice if p is not None]
-        if len(primers) > best and is_strongly_r_decodable(
-                primers, inst.redundancy, inst.space)[0]:
+        if len(primers) > best and ref_witnesses(primers, inst.redundancy, inst.space)[0]:
             best = len(primers)
     return best
 
@@ -182,7 +199,7 @@ def test_reduction_has_no_extension_only_edges():
     for _ in range(10):
         graph = _random_bipartite(rng)
         g = build_graph(reduce_matching_to_design(graph))
-        assert all(minus == () for minus in g.pn_minus)
+        assert not any(g.row(u, minus=True) for u in range(g.n_primers))
         # every left vertex's spectrum is exactly its neighborhood
         for u in range(graph.n_left):
             nplus = set(g.probe_ids[v - g.n_primers] for v in g.row(u))

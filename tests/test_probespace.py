@@ -18,10 +18,11 @@ from snpmux.probespace import (
     ExplicitSpace,
     KmerSpace,
     count_ctokens,
-    is_ctoken,
     load_probe_list,
     make_space,
 )
+
+from reference import is_ctoken
 
 _COMP = str.maketrans("ACGT", "TGCA")
 

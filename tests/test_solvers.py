@@ -5,14 +5,8 @@ import pytest
 
 from snpmux import solvers
 from snpmux.datasets import RandomSpec, generate_random
-from snpmux.decodability import (
-    DesignResult,
-    is_strongly_r_decodable,
-    parse_design_lines,
-    verify_design,
-)
+from snpmux.decodability import DesignResult, parse_design_lines, verify_design
 from snpmux.instance import Pool, Primer, ProblemInstance
-from snpmux.oracles import brute_force_max_decodable
 from snpmux.partition import partition
 from snpmux.probespace import CTokenSpace, KmerSpace
 from snpmux.solvers import (
@@ -24,6 +18,8 @@ from snpmux.solvers import (
     sequential_greedy,
     solve,
 )
+
+from reference import brute_force_max_decodable, ref_witnesses
 
 
 def _pool(pid, *specs):
@@ -94,7 +90,7 @@ def test_selected_primers_are_strongly_decodable():
                 for e in res.selected
             ]
             if reps:
-                ok, _ = is_strongly_r_decodable(reps, inst.redundancy, inst.space)
+                ok, _ = ref_witnesses(reps, inst.redundancy, inst.space)
                 assert ok, alg
 
 
@@ -104,13 +100,13 @@ def _first_fit_reference(inst):
     chosen, picks = [], []
     for pool in inst.pools:
         for index, primer in enumerate(pool.primers):
-            if is_strongly_r_decodable(chosen + [primer], inst.redundancy, inst.space)[0]:
+            if ref_witnesses(chosen + [primer], inst.redundancy, inst.space)[0]:
                 chosen.append(primer)
                 picks.append((pool.id, index))
                 break
     if not chosen:
         return []
-    _, witnesses = is_strongly_r_decodable(chosen, inst.redundancy, inst.space)
+    _, witnesses = ref_witnesses(chosen, inst.redundancy, inst.space)
     return [(pid, index, w) for (pid, index), w in zip(picks, witnesses)]
 
 
