@@ -8,11 +8,11 @@ arrays, and independently verifies the resulting designs.
 
 __version__ = "0.1.0"
 
-from .dnaseq import complement, reverse_complement, weight, is_degenerate
+from .dnaseq import complement, reverse_complement, is_degenerate
 from .probespace import KmerSpace, CTokenSpace, ExplicitSpace, make_space
 from .instance import Primer, Pool, ProblemInstance
 from .decodability import DesignResult, SelectedPool, verify_design
-from .solvers import SolverConfig, build_graph, solve
+from .solvers import build_graph, solve
 from .partition import partition, coverage_curve
 from .datasets import RandomSpec, generate_random, load_snp_table
 from .oracles import BipartiteGraph, reduce_matching_to_design
@@ -20,7 +20,6 @@ from .oracles import BipartiteGraph, reduce_matching_to_design
 __all__ = [
     "complement",
     "reverse_complement",
-    "weight",
     "is_degenerate",
     "KmerSpace",
     "CTokenSpace",
@@ -33,7 +32,6 @@ __all__ = [
     "DesignResult",
     "SelectedPool",
     "verify_design",
-    "SolverConfig",
     "solve",
     "partition",
     "coverage_curve",

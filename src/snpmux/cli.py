@@ -36,7 +36,7 @@ from .instance import (
 from .oracles import BipartiteGraph, reduce_matching_to_design
 from .partition import coverage_curve, partition
 from .probespace import ConfigError, make_space
-from .solvers import ALGORITHMS, SolverConfig, solve
+from .solvers import ALGORITHMS, check_algorithm, solve
 
 USAGE_ERRORS = (ValueError, OSError)
 
@@ -70,12 +70,11 @@ def _write_instance(path, subcommand, argv, pools, fields):
 
 
 def _run_design(args, run, **kwargs):
-    """Load a solve or partition input and time run(instance, config,
-    **kwargs): (instance, its result, seconds)."""
+    """Load a solve or partition input and time run(instance,
+    args.algorithm, **kwargs): (instance, its result, seconds)."""
     instance = _load_instance(args.infile, make_space(args.probes), args.redundancy)
-    config = SolverConfig(algorithm=args.algorithm)
     started = time.perf_counter()
-    result = run(instance, config, **kwargs)
+    result = run(instance, args.algorithm, **kwargs)
     return instance, result, time.perf_counter() - started
 
 
@@ -302,7 +301,7 @@ def cmd_bench(args, argv):
     if args.replicates < 1:
         raise ConfigError("replicates must be >= 1, got %d" % args.replicates)
     redundancies = [_redundancy(x) for x in args.redundancy.split(",")]
-    configs = [SolverConfig(algorithm=alg) for alg in args.algorithm.split(",")]
+    algorithms = [check_algorithm(x) for x in args.algorithm.split(",")]
     spaces = [make_space(d) for d in args.probes.split(",")]
     specs = [[_random_spec(args, n, args.seed + i) for i in range(args.replicates)]
              for n in _int_list(args.pools)]
@@ -319,20 +318,20 @@ def cmd_bench(args, argv):
         replicate_pools = [generate_random(spec) for spec in replicate_specs]
         n = replicate_specs[0].n_pools
         for r, block in zip(redundancies, rows):
-            for config in configs:
+            for algorithm in algorithms:
                 cells = []
                 for space in spaces:
                     started = time.perf_counter()
                     sizes = [
-                        solve(ProblemInstance(pools, space, r), config).size
+                        solve(ProblemInstance(pools, space, r), algorithm).size
                         for pools in replicate_pools
                     ]
                     elapsed = time.perf_counter() - started
                     cells.append("%.1f" % (sum(sizes) / len(sizes)))
                     print("bench: r=%d pools=%d %s %s mean=%s (%.2fs)"
-                          % (r, n, config.algorithm, space.descriptor, cells[-1], elapsed),
+                          % (r, n, algorithm, space.descriptor, cells[-1], elapsed),
                           file=sys.stderr)
-                block.append("%d\t%d\t%s\t%s" % (r, n, config.algorithm, "\t".join(cells)))
+                block.append("%d\t%d\t%s\t%s" % (r, n, algorithm, "\t".join(cells)))
     lines.extend(row for block in rows for row in block)
     _write(args.out, lines)
     return 0

@@ -1,8 +1,7 @@
-"""DNA string primitives: complement, weight, validation, 2-bit encoding.
+"""DNA string primitives: complement, validation, 2-bit encoding.
 
-Bases carry a hybridization weight of 1 for A/T and 2 for C/G, reflecting
-the stronger pairing of C:G. The fixed base ordinal A=0, C=1, G=2, T=3 is
-used for all dense probe indexing, so it must never change.
+The fixed base ordinal A=0, C=1, G=2, T=3 is used for all dense probe
+indexing, so it must never change.
 
 Base checks are one set test on the whole string: is_degenerate, normalize.
 """
@@ -35,14 +34,6 @@ def reverse_complement(seq):
     if is_degenerate(seq):
         raise SequenceError("cannot reverse-complement degenerate sequence %r" % (seq,))
     return seq.translate(_COMP_TABLE)[::-1]
-
-
-def weight(seq):
-    """Hybridization weight: count of A/T bases plus twice the count of C/G."""
-    if is_degenerate(seq):
-        raise SequenceError("weight undefined for degenerate sequence %r" % (seq,))
-    at = seq.count("A") + seq.count("T")
-    return at + 2 * (len(seq) - at)
 
 
 def is_degenerate(seq):

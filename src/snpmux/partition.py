@@ -1,6 +1,6 @@
 """Partition a SNP set across several arrays.
 
-Each round runs the configured solver on the pools not yet covered and
+Each round runs the named solver on the pools not yet covered and
 sends the selected subset to its own array, so early arrays are large
 and the tail shrinks quickly. Pools that no single-pool assay can decode
 (every primer has fewer than r probes of its own) are classified
@@ -20,7 +20,7 @@ Sub-instances keep original pool ids so results map straight back.
 import logging
 from dataclasses import dataclass
 
-from .solvers import SolverConfig, solve
+from .solvers import check_algorithm, solve
 
 logger = logging.getLogger(__name__)
 
@@ -65,19 +65,19 @@ def _isolation_decodable(pool, space, r):
     return any(len(space.spectrum(p.sequence)) >= r for p in pool.primers)
 
 
-def partition(instance, config=None, max_arrays=None):
+def partition(instance, algorithm="seq", max_arrays=None):
     """Cover the instance with arrays; see module docstring.
 
     Args:
         instance: the full problem instance.
-        config: SolverConfig; defaults to the sequential solver, which is
-            the cheapest per round.
+        algorithm: the solver each round runs, one of ALGORITHMS, checked
+            before any work; defaults to ``seq``, the cheapest per round.
         max_arrays: optional cap on rounds; leftovers are reported in
             ``remaining``.
     """
+    check_algorithm(algorithm)
     if max_arrays is not None and max_arrays < 1:
         raise ValueError("max_arrays must be >= 1, got %r" % (max_arrays,))
-    config = config or SolverConfig()
     space = instance.space
     r = instance.redundancy
 
@@ -93,7 +93,7 @@ def partition(instance, config=None, max_arrays=None):
 
     arrays = []
     while residual and (max_arrays is None or len(arrays) < max_arrays):
-        result = solve(instance.subset(residual), config)
+        result = solve(instance.subset(residual), algorithm)
         if not result.size:
             # every residual pool is decodable alone, so each solver
             # selects at least one; never loop on an empty round

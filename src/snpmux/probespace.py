@@ -33,7 +33,7 @@ from .instance import InstanceFormatError, read_text, records
 KMER_MIN, KMER_MAX = 1, 16
 CTOKEN_MIN, CTOKEN_MAX = 2, 20
 
-_BASE_WEIGHT = (1, 2, 2, 1)  # indexed by base code A,C,G,T
+_BASE_WEIGHT = (1, 2, 2, 1)  # hybridization weight by base code A,C,G,T: C:G pairs stronger
 _COMP_DIGIT = str.maketrans("ACGT", "3210")  # base -> code of its complement
 
 

@@ -44,7 +44,6 @@ live unextended degree is at least its side's floor.
 import logging
 from array import array
 from bisect import bisect_right
-from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from itertools import islice
 
@@ -56,23 +55,19 @@ ALGORITHMS = ("seq", "minprimer", "minprobe")
 _SHARED = -1  # first_fit: a covered probe informative for nobody
 
 
-@dataclass(frozen=True)
-class SolverConfig:
-    """The solver to run, checked on construction: one of ALGORITHMS."""
-
-    algorithm: str = "seq"
-
-    def __post_init__(self):
-        if self.algorithm not in ALGORITHMS:
-            raise ValueError("algorithm must be one of %s, got %r" % (ALGORITHMS, self.algorithm))
+def check_algorithm(name):
+    """name, if it is one of ALGORITHMS; otherwise raise ValueError."""
+    if name not in ALGORITHMS:
+        raise ValueError("algorithm must be one of %s, got %r" % (ALGORITHMS, name))
+    return name
 
 
-def solve(instance, config=None):
-    """Run the configured solver on an instance."""
-    config = config or SolverConfig()
-    if config.algorithm == "seq":
+def solve(instance, algorithm="seq"):
+    """Run the named solver, one of ALGORITHMS, on an instance."""
+    check_algorithm(algorithm)
+    if algorithm == "seq":
         return sequential_greedy(instance)
-    return _min_degree_greedy(instance, config.algorithm == "minprobe")
+    return _min_degree_greedy(instance, algorithm == "minprobe")
 
 
 def first_fit(owner, counts, r, nplus, nminus):
@@ -211,38 +206,34 @@ class HybridizationGraph:
 
         The run's primers with a non-empty unextended spectrum start live,
         and so does every probe one of them reaches, by either sign; every
-        other vertex starts dead, with no live degree. Degrees count up
-        from none through the run's rows, or down from the whole graph's
-        (the offsets' differences) through the other primers' rows,
-        whichever side has fewer primers: a run on every pool walks none.
+        other vertex starts dead, with no live degree. A run on every pool
+        reads its degrees off the offsets' differences and walks no row;
+        any other run counts them up from none through its own rows.
         """
         off_plus, nb_plus = self.off_plus, self.nb_plus
         off_minus, nb_minus = self.off_minus, self.nb_minus
         n_run = sum(len(pool.primers) for pool in pools)
-        up = 2 * n_run < self.n_primers
         # the old state goes first, so the new one can take its memory
         self.d_plus = self.d_total = self.alive = None
-        if up:
-            d_plus = [0] * (len(off_plus) - 1)
-            d_total = d_plus[:]
-        else:
+        if n_run == self.n_primers:
             d_plus = [b - a for a, b in zip(off_plus, islice(off_plus, 1, None))]
             d_total = [d + b - a for d, a, b in zip(d_plus, off_minus, islice(off_minus, 1, None))]
-        if n_run < self.n_primers:
-            step = 1 if up else -1
+        else:
+            d_plus = [0] * (len(off_plus) - 1)
+            d_total = d_plus[:]
             run, pool_start = {pool.id for pool in pools}, self.pool_start
             for i, pool in enumerate(self.pools):
-                if (pool.id in run) != up:
+                if pool.id not in run:
                     continue
                 for u in range(pool_start[i], pool_start[i + 1]):
                     a, b, c, d = off_plus[u], off_plus[u + 1], off_minus[u], off_minus[u + 1]
-                    d_plus[u] += step * (b - a)
-                    d_total[u] += step * (b - a + d - c)
+                    d_plus[u] = b - a
+                    d_total[u] = b - a + d - c
                     for v in nb_plus[a:b]:
-                        d_plus[v] += step
-                        d_total[v] += step
+                        d_plus[v] += 1
+                        d_total[v] += 1
                     for v in nb_minus[c:d]:
-                        d_total[v] += step
+                        d_total[v] += 1
         self.d_plus, self.d_total = d_plus, d_total
         self.alive = bytearray(map(bool, d_total))
         self.live_primers = self.alive.count(1, 0, self.n_primers)

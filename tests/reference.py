@@ -9,7 +9,8 @@ Nothing here runs at scale, and ``snpmux`` imports none of it:
   of an instance.
 * ``brute_force_mim`` finds the maximum induced matching of a
   ``snpmux.oracles.BipartiteGraph`` by trying every edge subset.
-* ``is_ctoken`` tests c-token membership straight from the definition.
+* ``weight`` and ``is_ctoken`` give a sequence's hybridization weight
+  and test c-token membership straight from the definition.
 
 ``brute_force_max_decodable`` is a depth-first branch and bound. Pools go
 in order, and each either gets one of its primers or is skipped. A child
@@ -41,7 +42,7 @@ import sys
 from itertools import combinations
 
 from snpmux.decodability import DesignResult, SelectedPool
-from snpmux.dnaseq import weight
+from snpmux.dnaseq import SequenceError, is_degenerate
 from snpmux.solvers import first_fit
 
 MIM_VERTEX_LIMIT = 24
@@ -77,6 +78,14 @@ def ref_witnesses(primers, r, space):
             return False, None
         witnesses.append(tuple(own[:r]))
     return True, witnesses
+
+
+def weight(seq):
+    """Hybridization weight: count of A/T bases plus twice the count of C/G."""
+    if is_degenerate(seq):
+        raise SequenceError("weight undefined for degenerate sequence %r" % (seq,))
+    at = seq.count("A") + seq.count("T")
+    return at + 2 * (len(seq) - at)
 
 
 def is_ctoken(seq, c):

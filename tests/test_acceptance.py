@@ -24,7 +24,7 @@ from snpmux.dnaseq import unpack_value
 from snpmux.oracles import BipartiteGraph, reduce_matching_to_design
 from snpmux.partition import coverage_curve, partition
 from snpmux.probespace import CTokenSpace, KmerSpace, count_ctokens
-from snpmux.solvers import ALGORITHMS, SolverConfig, build_graph, solve
+from snpmux.solvers import ALGORITHMS, build_graph, solve
 
 from reference import brute_force_max_decodable, brute_force_mim, is_ctoken
 
@@ -78,7 +78,7 @@ def test_criterion_02_desk_scale_table_reproduction():
     replicate_pools = [_random_pools(1000, 1, 20, "all4", 21000 + i) for i in range(10)]
     for r in (1, 2, 5):
         for alg in ALGORITHMS:
-            sizes = [solve(ProblemInstance(pools, space10, r), SolverConfig(algorithm=alg)).size
+            sizes = [solve(ProblemInstance(pools, space10, r), alg).size
                      for pools in replicate_pools]
             assert _mean(sizes) >= 998, (r, alg, sizes)
         print("n=1000 k=10 r=%d: all solvers >= 998 mean" % r)
@@ -86,7 +86,7 @@ def test_criterion_02_desk_scale_table_reproduction():
     # (b) n=10000, k=8, r=1: sequential greedy lands near 7740
     space8 = KmerSpace(8)
     replicate_pools = [_random_pools(10000, 1, 20, "all4", 22000 + i) for i in range(10)]
-    sizes = [solve(ProblemInstance(pools, space8, 1), SolverConfig(algorithm="seq")).size
+    sizes = [solve(ProblemInstance(pools, space8, 1), "seq").size
              for pools in replicate_pools]
     mean = _mean(sizes)
     print("n=10000 k=8 r=1 seq mean: %.1f (band 7353..8127)" % mean)
@@ -95,7 +95,7 @@ def test_criterion_02_desk_scale_table_reproduction():
     # (c) n=10000, k=9, r=1: near-complete selection for every solver
     space9 = KmerSpace(9)
     for alg in ALGORITHMS:
-        sizes = [solve(ProblemInstance(pools, space9, 1), SolverConfig(algorithm=alg)).size
+        sizes = [solve(ProblemInstance(pools, space9, 1), alg).size
                  for pools in replicate_pools]
         mean = _mean(sizes)
         print("n=10000 k=9 r=1 %s mean: %.1f" % (alg, mean))
@@ -104,13 +104,13 @@ def test_criterion_02_desk_scale_table_reproduction():
 
 def test_criterion_03_second_primer_benefit():
     space = KmerSpace(8)
-    cfg = SolverConfig(algorithm="minprobe")
+    alg = "minprobe"
     one, two = [], []
     for i in range(10):
         pools = _random_pools(100_000, 1, 20, "all4", 3000 + i)
-        one.append(solve(ProblemInstance(pools, space, 1), cfg).size)
+        one.append(solve(ProblemInstance(pools, space, 1), alg).size)
         pools = _random_pools(100_000, 2, 20, "all4", 3000 + i)
-        two.append(solve(ProblemInstance(pools, space, 1), cfg).size)
+        two.append(solve(ProblemInstance(pools, space, 1), alg).size)
     gain = _mean(two) / _mean(one) - 1.0
     print("minprobe n=100k k=8: 1 primer %.1f, 2 primers %.1f, gain %.1f%%"
           % (_mean(one), _mean(two), 100 * gain))
@@ -126,7 +126,7 @@ def test_criterion_04_small_extension_set_benefit():
             pools = _random_pools(100_000, 2, 20, mode, 4000 + i)
             inst = ProblemInstance(pools, space, 2)
             for alg in ALGORITHMS:
-                sizes[(alg, mode)].append(solve(inst, SolverConfig(algorithm=alg)).size)
+                sizes[(alg, mode)].append(solve(inst, alg).size)
     for alg in ALGORITHMS:
         pair_mean = _mean(sizes[(alg, "pair")])
         all4_mean = _mean(sizes[(alg, "all4")])
@@ -160,7 +160,7 @@ def test_criterion_05_heuristics_vs_brute_force():
             inst = ProblemInstance(_small_instance(rng, k), space, r)
             best, _witness = brute_force_max_decodable(inst)
             for alg in ALGORITHMS:
-                res = solve(inst, SolverConfig(algorithm=alg))
+                res = solve(inst, alg)
                 report = verify_design(res, inst)
                 assert report.ok, (alg, [v.to_line() for v in report.violations])
                 assert res.size <= best, (alg, res.size, best)
@@ -191,7 +191,7 @@ def test_criterion_05_gaps_at_25_pools():
             best, witness = brute_force_max_decodable(inst)
             assert verify_design(witness, inst).ok, (r, seed)
             for alg in ALGORITHMS:
-                res = solve(inst, SolverConfig(algorithm=alg))
+                res = solve(inst, alg)
                 assert verify_design(res, inst).ok, (r, seed, alg)
                 assert res.size <= best, (r, seed, alg, res.size, best)
                 gaps.setdefault(("25 pools r=%d" % r, alg), []).append(best - res.size)
@@ -285,7 +285,7 @@ def test_criterion_07_verifier_catches_single_mutations():
     space = KmerSpace(4)
     pools = _random_pools(30, 2, 10, "all4", 7007)
     inst = ProblemInstance(pools, space, 2)
-    base = solve(inst, SolverConfig(algorithm="seq"))
+    base = solve(inst, "seq")
     judge = _NaiveJudge(inst)
     assert judge.valid(base.selected)
     assert verify_design(base, inst).ok
@@ -328,7 +328,7 @@ def test_criterion_08_partition_completeness():
     pools = _random_pools(20_000, 2, 20, "all4", 8008)
     inst = ProblemInstance(pools, KmerSpace(9), 2)
     report = partition(inst)
-    standalone = solve(inst, SolverConfig())
+    standalone = solve(inst)
     elapsed = time.perf_counter() - started
 
     seen = list(report.uncovered) + list(report.remaining)
@@ -360,11 +360,11 @@ def _disjoint_pools(n, k):
 
 def test_criterion_09_performance_envelope():
     space = KmerSpace(10)
-    cfg = SolverConfig(algorithm="minprobe")
+    alg = "minprobe"
     started = time.perf_counter()
     pools = _random_pools(100_000, 2, 20, "all4", 9009)
     inst = ProblemInstance(pools, space, 1)
-    result = solve(inst, cfg)
+    result = solve(inst, alg)
     elapsed = time.perf_counter() - started
     print("minprobe on 100k x 2 primers, k=10: %d pools in %.1fs" % (result.size, elapsed))
     assert result.size > 0
@@ -382,7 +382,7 @@ def test_criterion_09_performance_envelope():
             try:
                 sub_started = time.perf_counter()
                 inst = ProblemInstance(pools, space, 1)
-                res = solve(inst, cfg)
+                res = solve(inst, alg)
                 took = time.perf_counter() - sub_started
             finally:
                 gc.enable()

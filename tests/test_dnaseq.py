@@ -11,8 +11,9 @@ from snpmux.dnaseq import (
     normalize,
     reverse_complement,
     unpack_value,
-    weight,
 )
+
+from reference import weight
 
 
 def test_complement_pairs():

@@ -26,11 +26,11 @@ def test_public_api_is_pinned():
     # the exact searches and the reference checker live in tests/reference.py;
     # a name only tests use must not re-enter the package's public API
     assert snpmux.__all__ == [
-        "complement", "reverse_complement", "weight", "is_degenerate",
+        "complement", "reverse_complement", "is_degenerate",
         "KmerSpace", "CTokenSpace", "ExplicitSpace", "make_space",
         "Primer", "Pool", "ProblemInstance", "build_graph",
         "DesignResult", "SelectedPool", "verify_design",
-        "SolverConfig", "solve", "partition", "coverage_curve",
+        "solve", "partition", "coverage_curve",
         "RandomSpec", "generate_random", "load_snp_table",
         "BipartiteGraph", "reduce_matching_to_design", "__version__",
     ]

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -11,7 +12,7 @@ from snpmux.partition import (
     partition,
 )
 from snpmux.probespace import CTokenSpace, ExplicitSpace, KmerSpace
-from snpmux.solvers import ALGORITHMS, SolverConfig, solve
+from snpmux.solvers import ALGORITHMS, solve
 
 
 def _pool(pid, seq, ext="C"):
@@ -61,6 +62,15 @@ def test_uncovered_pools_are_classified_up_front():
     assert report.fraction_covered_decodable == 1.0
 
 
+def test_partition_checks_the_name_before_any_round():
+    # neither instance runs a round, so only partition's own check can raise
+    bad_name = re.escape("algorithm must be one of ('seq', 'minprimer', 'minprobe'), got 'magic'")
+    all_uncovered = ProblemInstance([_pool(0, "AAAA", "C")], KmerSpace(2), 2)
+    for inst in (ProblemInstance([], KmerSpace(2), 2), all_uncovered):
+        with pytest.raises(ValueError, match=bad_name):
+            partition(inst, "magic")
+
+
 def test_max_arrays_leaves_remaining():
     pools = _copies([("AAAA", 1), ("CCCC", 2), ("GGGG", 2)])
     inst = ProblemInstance(pools, KmerSpace(2), 1)
@@ -83,9 +93,8 @@ def test_first_array_matches_standalone_solver():
         pools.append(_pool(pid, seq, "".join(sorted(rng.sample("ACGT", 2)))))
     inst = ProblemInstance(pools, KmerSpace(2), 1)
     for alg in ("seq", "minprimer", "minprobe"):
-        cfg = SolverConfig(algorithm=alg)
-        report = partition(inst, cfg)
-        standalone = solve(inst, cfg)
+        report = partition(inst, alg)
+        standalone = solve(inst, alg)
         assert report.arrays[0].selected == standalone.selected, alg
 
 
@@ -139,7 +148,7 @@ def test_subset_takes_only_its_own_pools():
     assert inst.subset([]).n_pools == 0
 
 
-def _partition_reference(instance, config, max_arrays=None):
+def _partition_reference(instance, algorithm, max_arrays=None):
     """The partition loop solving a fresh instance of the residual pools
     each round, as it did before rounds shared the root's graph."""
     space, r = instance.space, instance.redundancy
@@ -148,7 +157,7 @@ def _partition_reference(instance, config, max_arrays=None):
     residual = [pool for pool in instance.pools if pool.id not in uncovered]
     arrays = []
     while residual and (max_arrays is None or len(arrays) < max_arrays):
-        result = solve(ProblemInstance(residual, space, r), config)
+        result = solve(ProblemInstance(residual, space, r), algorithm)
         arrays.append(result)
         taken = set(result.pool_ids())
         residual = [pool for pool in residual if pool.id not in taken]
@@ -175,7 +184,7 @@ def test_partition_builds_one_graph(monkeypatch):
     real_build = solvers.build_graph
     monkeypatch.setattr(solvers, "build_graph", lambda inst: builds.append(inst) or real_build(inst))
     inst = ProblemInstance(_mixed_pools(random.Random(89), 40, 1, 9), KmerSpace(3), 2)
-    report = partition(inst, SolverConfig("minprobe"))
+    report = partition(inst, "minprobe")
     assert len(report.arrays) > 2 and report.uncovered
     assert builds == [inst]
 
@@ -190,9 +199,8 @@ def test_partition_matches_fresh_instance_per_round():
             for max_arrays in (None, 2):
                 inst = ProblemInstance(_mixed_pools(rng, 40, 1, 9), space, r)
                 for alg in ALGORITHMS:
-                    cfg = SolverConfig(alg)
-                    report = partition(inst, cfg, max_arrays)
-                    arrays, uncovered, remaining = _partition_reference(inst, cfg, max_arrays)
+                    report = partition(inst, alg, max_arrays)
+                    arrays, uncovered, remaining = _partition_reference(inst, alg, max_arrays)
                     where = (space.descriptor, r, max_arrays, alg)
                     assert [res.to_lines() for res in report.arrays] == [
                         res.to_lines() for res in arrays], where

@@ -24,7 +24,7 @@ from snpmux.datasets import RandomSpec, generate_random, load_snp_table
 from snpmux.decodability import verify_design
 from snpmux.instance import ProblemInstance
 from snpmux.probespace import make_space
-from snpmux.solvers import ALGORITHMS, SolverConfig, solve
+from snpmux.solvers import ALGORITHMS, solve
 
 _COMPLEMENT = str.maketrans("ACGT", "TGCA")
 _WEIGHT = {"A": 1, "C": 2, "G": 2, "T": 1}
@@ -138,7 +138,7 @@ def test_verified_designs_decode_their_genotypes(tmp_path, descriptor):
     decoded = {1: 0, 2: 0, 3: 0}
     for (pools, products), r, algorithm in itertools.product(sources, (1, 2, 3), ALGORITHMS):
         instance = ProblemInstance(pools, space, r)
-        design = solve(instance, SolverConfig(algorithm=algorithm))
+        design = solve(instance, algorithm)
         assert verify_design(design, instance).ok
         for _ in range(_DRAWS):
             decoded[r] += _read_out(design, products, roster, r, rng)

@@ -1,5 +1,6 @@
 import hashlib
 import random
+import re
 
 import pytest
 
@@ -11,7 +12,6 @@ from snpmux.partition import partition
 from snpmux.probespace import CTokenSpace, KmerSpace
 from snpmux.solvers import (
     ALGORITHMS,
-    SolverConfig,
     _cascade,
     _initial_prune,
     build_graph,
@@ -46,8 +46,11 @@ def _random_instance(rng, n_pools, k, r, max_len=8):
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        SolverConfig(algorithm="magic")
+    bad_name = re.escape("algorithm must be one of ('seq', 'minprimer', 'minprobe'), got 'magic'")
+    # the empty instance gives no solver any work, so only the check can raise
+    for pools in ([_pool(0, ("AAAA", "C", "."))], []):
+        with pytest.raises(ValueError, match=bad_name):
+            solve(_instance(pools), "magic")
 
 
 def test_duplicate_pools_conflict():
@@ -60,7 +63,7 @@ def test_duplicate_pools_conflict():
     ]
     inst = _instance(pools)
     for alg in ALGORITHMS:
-        res = solve(inst, SolverConfig(algorithm=alg))
+        res = solve(inst, alg)
         assert res.pool_ids() == [0, 2], alg
         assert verify_design(res, inst).ok, alg
 
@@ -83,7 +86,7 @@ def test_selected_primers_are_strongly_decodable():
     for trial in range(30):
         inst = _random_instance(rng, rng.randint(1, 10), 2, rng.randint(1, 2))
         for alg in ALGORITHMS:
-            res = solve(inst, SolverConfig(algorithm=alg))
+            res = solve(inst, alg)
             assert verify_design(res, inst).ok, alg
             reps = [
                 inst.pool_by_id(e.pool_id).primers[e.primer_index]
@@ -134,14 +137,14 @@ def test_never_beats_brute_force():
         inst = _random_instance(rng, rng.randint(2, 7), 2, rng.randint(1, 2), max_len=6)
         best, _ = brute_force_max_decodable(inst)
         for alg in ALGORITHMS:
-            assert solve(inst, SolverConfig(algorithm=alg)).size <= best, alg
+            assert solve(inst, alg).size <= best, alg
 
 
 def test_witness_counts_match_redundancy():
     rng = random.Random(47)
     inst = _random_instance(rng, 12, 2, 2)
     for alg in ALGORITHMS:
-        res = solve(inst, SolverConfig(algorithm=alg))
+        res = solve(inst, alg)
         for entry in res.selected:
             assert len(entry.witnesses) == 2
             assert list(entry.witnesses) == sorted(entry.witnesses)
@@ -151,18 +154,17 @@ def test_solvers_are_deterministic():
     rng = random.Random(53)
     inst = _random_instance(rng, 25, 3, 1)
     for alg in ALGORITHMS:
-        cfg = SolverConfig(algorithm=alg)
-        assert solve(inst, cfg) == solve(inst, cfg), alg
+        assert solve(inst, alg) == solve(inst, alg), alg
 
 
 def test_empty_and_hopeless_instances():
     empty = _instance([])
     for alg in ALGORITHMS:
-        assert solve(empty, SolverConfig(algorithm=alg)).size == 0
+        assert solve(empty, alg).size == 0
     # a primer shorter than k has no spectrum at all
     hopeless = ProblemInstance([_pool(0, ("AC", "G", "."))], KmerSpace(3), 1)
     for alg in ALGORITHMS:
-        res = solve(hopeless, SolverConfig(algorithm=alg))
+        res = solve(hopeless, alg)
         assert res.size == 0
         assert res.pruned_empty == 1
 
@@ -170,7 +172,7 @@ def test_empty_and_hopeless_instances():
 def test_result_carries_fingerprint():
     inst = _instance([_pool(0, ("AAAA", "C", "."))])
     for alg in ALGORITHMS:
-        assert solve(inst, SolverConfig(algorithm=alg)).fingerprint == inst.fingerprint
+        assert solve(inst, alg).fingerprint == inst.fingerprint
 
 
 def _conflict_graph():
@@ -324,7 +326,7 @@ def test_reset_matches_a_fresh_build_of_the_subset():
             if live:
                 _cascade(g, rng.sample(live, min(3, len(live))))
             sizes.add(2 * sum(len(pool.primers) for pool in pools) < g.n_primers)
-    assert sizes == {False, True}  # both counting directions were exercised
+    assert sizes == {False, True}  # count-up ran on runs both above and below half the primers
 
 
 def test_solves_sharing_a_graph_match_fresh_instances(monkeypatch):
@@ -338,8 +340,8 @@ def test_solves_sharing_a_graph_match_fresh_instances(monkeypatch):
         for sub in (inst, inst.subset(inst.pools[::2]), inst.subset(inst.pools[1:])):
             for alg in ("minprimer", "minprobe", "minprimer"):
                 fresh = ProblemInstance(sub.pools, sub.space, sub.redundancy)
-                got = solve(sub, SolverConfig(alg))
-                want = solve(fresh, SolverConfig(alg))
+                got = solve(sub, alg)
+                want = solve(fresh, alg)
                 assert (got.selected, got.pruned_empty) == (want.selected, want.pruned_empty)
                 assert got.fingerprint == inst.fingerprint
         # one build for the root, and one for each fresh copy
@@ -385,15 +387,15 @@ def test_designs_match_pinned_hashes():
     for k, r, seed in ((5, 2, 71), (4, 1, 73)):
         inst = _seeded_instance(KmerSpace(k), r, seed)
         for alg in ALGORITHMS:
-            res = solve(inst, SolverConfig(alg))
+            res = solve(inst, alg)
             assert _sha(res.to_lines()) == _PINNED_DESIGNS[k, r, alg], (k, r, alg)
-    report = partition(_seeded_instance(KmerSpace(4), 1, 79), SolverConfig("minprobe"))
+    report = partition(_seeded_instance(KmerSpace(4), 1, 79), "minprobe")
     assert [res.size for res in report.arrays] == [79, 73, 73, 65, 61, 43, 6]
     assert _sha(_partition_lines(report)) == _PINNED_PARTITION
-    res = solve(_seeded_instance(CTokenSpace(7), 2, 83), SolverConfig("seq"))
+    res = solve(_seeded_instance(CTokenSpace(7), 2, 83), "seq")
     assert res.size == 160
     assert _sha(res.to_lines()) == _PINNED_CTOKEN_SEQ
-    report = partition(_seeded_instance(KmerSpace(4), 1, 79), SolverConfig("seq"))
+    report = partition(_seeded_instance(KmerSpace(4), 1, 79), "seq")
     assert [res.size for res in report.arrays] == [67, 66, 59, 55, 56, 52, 40, 5]
     assert _sha(_partition_lines(report)) == _PINNED_PARTITION_SEQ
 
@@ -418,7 +420,7 @@ def test_kmer16_probe_ids_above_2_31():
     assert min(ids) >= 2**31
     assert g.probe_ids.tolist() == sorted(ids)
     for alg in ("minprimer", "minprobe"):
-        res = solve(inst, SolverConfig(alg))
+        res = solve(inst, alg)
         assert res.size >= 2, alg
         assert verify_design(res, inst).ok, alg
         assert all(w >= 2**31 for e in res.selected for w in e.witnesses), alg
