@@ -12,11 +12,12 @@ state with the solvers, so it can be used as an acceptance gate for any
 claimed design.
 """
 
+from array import array
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain
 
 from .instance import InstanceFormatError, records
+from .probespace import coverage_table
 
 # violation kinds emitted by verify_design
 KIND_STRUCTURE = "structure"
@@ -88,25 +89,26 @@ def parse_design_lines(text, comments=None):
     return entries
 
 
-def _coverage(space, primers):
-    """One count over every primer's products: (N+ per primer, cover).
+def _coverage(space, primers, n_primers):
+    """One count over every primer's products: (probes, ends, cover).
 
-    cover[x] counts the primers whose extended products reach probe x. A
+    cover[x] counts the primers whose extended products reach probe x. It
+    is a probespace.coverage_table for an instance of n_primers, so a
+    flat array when the space is small enough next to the instance. A
     probe is informative for the single primer covering it when that
-    primer reaches it unextended, i.e. it is in its N+ with cover 1. The
-    N+ and N- tuples stream into one Counter, and only the N+ are kept.
+    primer reaches it unextended, i.e. it is in its N+ with cover 1. Only
+    the N+ are kept: primer i's is probes[ends[i - 1]:ends[i]] (from 0
+    for primer 0), one flat array of probe ids below 4**16.
     """
-    specs = []
-
-    def products():
-        for primer in primers:
-            nplus, nminus = space.primer_adjacency(primer.sequence, primer.extensions)
-            specs.append(nplus)
-            yield nplus
-            yield nminus
-
-    cover = Counter(chain.from_iterable(products()))
-    return specs, cover
+    probes, ends = array("I"), array("q")
+    cover = coverage_table(space, n_primers)
+    for primer in primers:
+        nplus, nminus = space.primer_adjacency(primer.sequence, primer.extensions)
+        probes.extend(nplus)
+        ends.append(len(probes))
+        for x in nplus + nminus:
+            cover[x] += 1
+    return probes, ends, cover
 
 
 @dataclass(frozen=True)
@@ -178,9 +180,12 @@ def verify_design(result, instance):
         valid.append(entry)
         primers.append(pool.primers[entry.primer_index])
 
-    specs, cover = _coverage(space, primers)
+    probes, ends, cover = _coverage(space, primers, instance.n_primers)
     witness_owner = {}
-    for entry, spec in zip(valid, specs):
+    start = 0
+    for entry, end in zip(valid, ends):
+        spec = probes[start:end]
+        start = end
         informative = list(map(cover.__getitem__, spec)).count(1)
         if informative < r:
             add(Violation(entry.pool_id, KIND_INFORMATIVE,

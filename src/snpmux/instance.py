@@ -182,6 +182,10 @@ class ProblemInstance:
     def n_pools(self):
         return len(self.pools)
 
+    @property
+    def n_primers(self):
+        return sum(len(pool.primers) for pool in self.pools)
+
     def pool_by_id(self, pool_id):
         pools = self.pools
         i = bisect.bisect_left(pools, pool_id, key=attrgetter("id"))

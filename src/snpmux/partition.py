@@ -1,26 +1,31 @@
 """Partition a SNP set across several arrays.
 
-Each round runs the named solver on the pools not yet covered and
-sends the selected subset to its own array, so early arrays are large
-and the tail shrinks quickly. Pools that no single-pool assay can decode
-(every primer has fewer than r probes of its own) are classified
-``uncovered`` up front: no array can ever carry them, and leaving them
-in the residual would only stall termination.
+Each array takes what the named solver selects from the pools the
+arrays before it left, so early arrays are large and the tail shrinks
+quickly. Pools that no single-pool assay can decode (every primer has
+fewer than r probes of its own) are classified ``uncovered`` first: no
+array can ever carry them, and leaving them in the residual would only
+stall termination.
 
 A selection's decodability depends only on the selected primers, so
-every array's design verifies against the one parent instance. Each
-round solves ``instance.subset`` of the residual pools, which shares the
-parent's fingerprint and hybridization graph: every DesignResult is
-stamped with the parent fingerprint, the residual text is never
-formatted or hashed, and a graph solver builds the graph in the first
-round only, each later round resetting its run state to the residual.
-Sub-instances keep original pool ids so results map straight back.
+every array's design verifies against the one parent instance, and
+every DesignResult is stamped with the parent fingerprint. Pool ids
+stay the caller's, so results map straight back.
+
+``seq`` is first-fit, so its arrays come from one pass over the pools
+(solvers.first_fit_pack): each pool goes to the first array that takes
+it. A graph solver runs one round per array instead, each on
+``instance.subset`` of the residual pools, which shares the parent's
+hybridization graph: the graph is built once, and each round resets
+only its run state to the residual. The uncovered pools are read off
+that graph's unextended row lengths before the first round.
 """
 
 import logging
 from dataclasses import dataclass
+from itertools import islice
 
-from .solvers import check_algorithm, solve
+from .solvers import check_algorithm, first_fit_pack, root_graph, solve
 
 logger = logging.getLogger(__name__)
 
@@ -60,39 +65,47 @@ class PartitionReport:
         return self.n_covered / denom if denom else 1.0
 
 
-def _isolation_decodable(pool, space, r):
-    """Can some primer of this pool alone produce r readout probes?"""
-    return any(len(space.spectrum(p.sequence)) >= r for p in pool.primers)
-
-
 def partition(instance, algorithm="seq", max_arrays=None):
     """Cover the instance with arrays; see module docstring.
 
     Args:
         instance: the full problem instance.
-        algorithm: the solver each round runs, one of ALGORITHMS, checked
-            before any work; defaults to ``seq``, the cheapest per round.
-        max_arrays: optional cap on rounds; leftovers are reported in
+        algorithm: the solver for each array, one of ALGORITHMS, checked
+            before any work; defaults to ``seq``, the cheapest.
+        max_arrays: optional cap on arrays; leftovers are reported in
             ``remaining``.
     """
     check_algorithm(algorithm)
     if max_arrays is not None and max_arrays < 1:
         raise ValueError("max_arrays must be >= 1, got %r" % (max_arrays,))
-    space = instance.space
-    r = instance.redundancy
+    if algorithm == "seq":
+        arrays, uncovered, remaining = first_fit_pack(instance, max_arrays)
+    else:
+        arrays, uncovered, remaining = _rounds(instance, algorithm, max_arrays)
+    if uncovered:
+        logger.info("%d pool(s) undecodable in isolation", len(uncovered))
+    return PartitionReport(tuple(arrays), tuple(uncovered), tuple(remaining))
 
-    uncovered = []
-    residual = []
+
+def _rounds(instance, algorithm, max_arrays):
+    """A graph solver's arrays, one solve per round: (designs, uncovered, remaining)."""
+    g = root_graph(instance)
+    r, off = instance.redundancy, g.off_plus
+    # the instance's pools are the root's, or some of them, in the same
+    # order, so one walk of the root's rows meets each pool's in turn
+    rows = zip(g.pools, g.pool_start, islice(g.pool_start, 1, None))
+    uncovered, residual = [], []
     for pool in instance.pools:
-        if _isolation_decodable(pool, space, r):
+        for own, first, end in rows:
+            if own is pool:
+                break
+        if any(off[u + 1] - off[u] >= r for u in range(first, end)):
             residual.append(pool)
         else:
             uncovered.append(pool.id)
-    if uncovered:
-        logger.info("%d pool(s) undecodable in isolation", len(uncovered))
 
     arrays = []
-    while residual and (max_arrays is None or len(arrays) < max_arrays):
+    while residual and len(arrays) != max_arrays:
         result = solve(instance.subset(residual), algorithm)
         if not result.size:
             # every residual pool is decodable alone, so each solver
@@ -101,12 +114,7 @@ def partition(instance, algorithm="seq", max_arrays=None):
         arrays.append(result)
         taken = set(result.pool_ids())
         residual = [pool for pool in residual if pool.id not in taken]
-
-    return PartitionReport(
-        arrays=tuple(arrays),
-        uncovered=tuple(uncovered),
-        remaining=tuple(pool.id for pool in residual),
-    )
+    return arrays, uncovered, [pool.id for pool in residual]
 
 
 def coverage_curve(report):

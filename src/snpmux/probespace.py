@@ -23,9 +23,14 @@ Every space splits a primer's probes the same way, in
 ``ProbeSpace.primer_adjacency``: the spectrum of the primer, and the
 probes of the windows that end at an appended base less that spectrum.
 A space only says which probes those end windows hit.
+
+``coverage_table`` makes the per-probe tables that the solvers' first-fit
+rule and the verifier count into, and holds the one rule for when such a
+table may be a flat array.
 """
 
 import functools
+from array import array
 
 from .dnaseq import BASE_CODE, SequenceError, normalize, reverse_complement, unpack_value
 from .instance import InstanceFormatError, read_text, records
@@ -291,6 +296,37 @@ class ExplicitSpace(ProbeSpace):
                 if pid is not None:
                     out.add(pid)
         return out
+
+
+# A dense coverage table costs 4 bytes for every probe of the space; a
+# sparse one about 100 for each probe it holds. All the dense tables that
+# one instance's solve or verification holds together get at most this
+# many entries per primer of the instance: 256 bytes, about what the
+# parsed instance itself keeps per primer.
+DENSE_ENTRIES_PER_PRIMER = 64
+
+
+class _SparseTable(dict):
+    """A coverage table as a dict: an absent probe id reads as 0 and is not stored."""
+
+    __slots__ = ()
+
+    def __missing__(self, key):
+        return 0
+
+
+def coverage_table(space, n_primers, held=0):
+    """A table of one int per probe id of the space, every one 0.
+
+    It is an ``array('i')`` of space.size entries when that table and the
+    ``held`` tables its caller already holds have at most
+    DENSE_ENTRIES_PER_PRIMER entries per primer of an instance of
+    n_primers; otherwise a dict in which an absent id reads as 0, without
+    being stored. Both are read and written by probe id alike.
+    """
+    if (held + 1) * space.size <= DENSE_ENTRIES_PER_PRIMER * n_primers:
+        return array("i", [0]) * space.size
+    return _SparseTable()
 
 
 def load_probe_list(path):

@@ -5,6 +5,8 @@ verification by construction:
 
 * ``seq``: scan pools in order and keep a pool whenever its first
   acceptable primer leaves every selection with >= r informative probes.
+  It is one array of the first-fit packer (``first_fit_pack``) that
+  partitions with it, and its coverage state is a per-probe table.
 * ``minprimer``: repeatedly select a minimum-degree live primer from the
   hybridization graph, certify it with its r smallest-degree spectrum
   probes, and remove every primer that could mask those witnesses.
@@ -45,9 +47,10 @@ import logging
 from array import array
 from bisect import bisect_right
 from heapq import heapify, heappop, heappush
-from itertools import islice
+from itertools import chain, islice
 
 from .decodability import DesignResult, SelectedPool
+from .probespace import coverage_table
 
 logger = logging.getLogger(__name__)
 
@@ -75,55 +78,137 @@ def first_fit(owner, counts, r, nplus, nminus):
 
     It fits when >= r of its unextended probes are uncovered and adding it
     leaves every slot with >= r informative probes; if not, nothing
-    changes. ``owner`` sends each covered probe to the slot it is
-    informative for (covered once, unextended) or to ``_SHARED`` (covered
-    twice, or once only through an extension); uncovered probes are
-    absent. ``counts`` holds each slot's informative-probe count.
+    changes. ``owner``, a probespace.coverage_table, reads 0 for an
+    uncovered probe, ``slot + 1`` for a probe informative for that slot
+    (covered once, unextended) and ``_SHARED`` for any other covered probe
+    (covered twice, or once only through an extension). ``counts`` holds
+    each slot's informative-probe count.
     """
-    gain = sum(1 for x in nplus if x not in owner)
+    get = owner.__getitem__
+    states = list(map(get, nplus))
+    gain = states.count(0)
     if gain < r:
         return False
     # would any earlier selection drop below r informative probes?
     loss = {}
-    for x in nplus + nminus:
-        slot = owner.get(x, _SHARED)
-        if slot != _SHARED:
-            loss[slot] = loss.get(slot, 0) + 1
-    if any(counts[slot] - lost < r for slot, lost in loss.items()):
+    for s in chain(states, map(get, nminus)):
+        if s > 0:
+            loss[s] = loss.get(s, 0) + 1
+    if any(counts[s - 1] - lost < r for s, lost in loss.items()):
         return False
-    for slot, lost in loss.items():
-        counts[slot] -= lost
-    slot = len(counts)
-    for x in nplus:
-        owner[x] = _SHARED if x in owner else slot
+    for s, lost in loss.items():
+        counts[s - 1] -= lost
+    counts.append(gain)
+    mine = len(counts)  # the new slot, plus one
+    for x, s in zip(nplus, states):
+        owner[x] = _SHARED if s else mine
     for x in nminus:
         owner[x] = _SHARED
-    counts.append(gain)
     return True
 
 
-def sequential_greedy(instance):
-    """First-fit scan: each pool keeps its first primer ``first_fit`` accepts."""
-    space = instance.space
-    r = instance.redundancy
-    owner = {}  # covered probe id -> owning slot, or _SHARED
-    counts = []  # informative probes per selection slot
-    chosen = []  # (pool_id, primer_index, sorted unextended spectrum)
-    pruned_empty = 0
-    for pool in instance.pools:
-        for primer_index, primer in enumerate(pool.primers):
-            nplus, nminus = space.primer_adjacency(primer.sequence, primer.extensions)
+class _OpenArray:
+    """One array of a first-fit packing: its coverage and what it took.
+
+    owner and counts are first_fit's state. The pool id and primer index
+    of slot s are picks[s], and its unextended spectrum is
+    probes[ends[s - 1]:ends[s]] (from 0 for slot 0): one flat array of
+    probe ids, 4 bytes each, since every id is below 4**16. pruned counts
+    the primers with an empty unextended spectrum among those offered.
+    """
+
+    __slots__ = ("owner", "counts", "picks", "probes", "ends", "pruned")
+
+    def __init__(self, owner):
+        self.owner = owner
+        self.counts = []
+        self.picks = []
+        self.probes = array("I")
+        self.ends = array("q")
+        self.pruned = 0
+
+    def offer(self, pool, sides, adjacency, r):
+        """Take the pool's first primer that first_fit accepts; return whether one was.
+
+        sides holds the adjacency of the pool's first primers, and grows
+        by each further primer offered, so no primer's is computed twice.
+        """
+        for i, primer in enumerate(pool.primers):
+            if i == len(sides):
+                sides.append(adjacency(primer.sequence, primer.extensions))
+            nplus, nminus = sides[i]
             if not nplus:
-                pruned_empty += 1
-            elif first_fit(owner, counts, r, nplus, nminus):
-                chosen.append((pool.id, primer_index, nplus))
+                self.pruned += 1
+            elif first_fit(self.owner, self.counts, r, nplus, nminus):
+                self.picks.append((pool.id, i))
+                self.probes.extend(nplus)
+                self.ends.append(len(self.probes))
+                return True
+        return False
+
+    def design(self, r, fingerprint):
+        """The design: each slot's witnesses are its r lowest own probes."""
+        owner, probes = self.owner, self.probes
+        selected = []
+        start = 0
+        for mine, ((pool_id, index), end) in enumerate(zip(self.picks, self.ends), start=1):
+            own = [x for x in probes[start:end] if owner[x] == mine][:r]
+            selected.append(SelectedPool(pool_id, index, tuple(own)))
+            start = end
+        return DesignResult(tuple(selected), fingerprint=fingerprint, pruned_empty=self.pruned)
+
+
+def first_fit_pack(instance, max_arrays=None, isolate=True):
+    """Pack the pools into arrays first-fit, in one pass: (designs, uncovered, remaining).
+
+    Each pool, in order, is offered to the open arrays in turn and goes to
+    the first that takes one of its primers. When none does, a new array
+    opens, up to max_arrays; a pool that no array may take is remaining.
+    An array's state depends only on the pools it took, so array j is
+    what ``seq`` selects from the pools that arrays 1 to j - 1 rejected,
+    and each primer's adjacency is computed once, not once per array.
+
+    With isolate, a pool none of whose primers has r unextended probes is
+    uncovered before any array sees it; without, it is offered like any
+    other. Each array's coverage is a probespace.coverage_table, dense
+    while the tables open so far fit its rule.
+    """
+    space, r = instance.space, instance.redundancy
+    adjacency = space.primer_adjacency
+    n_primers = instance.n_primers
+    arrays, uncovered, remaining = [], [], []
+    for pool in instance.pools:
+        sides = []  # the adjacency of the pool's primers, as far as computed
+        if isolate:
+            for primer in pool.primers:
+                sides.append(adjacency(primer.sequence, primer.extensions))
+                if len(sides[-1][0]) >= r:
+                    break
+            else:
+                uncovered.append(pool.id)
+                continue
+        for a in arrays:
+            if a.offer(pool, sides, adjacency, r):
                 break
-    selected = []
-    for slot, (pool_id, primer_index, nplus) in enumerate(chosen):
-        own = [x for x in nplus if owner[x] == slot][:r]
-        selected.append(SelectedPool(pool_id, primer_index, tuple(own)))
-    return DesignResult(tuple(selected), fingerprint=instance.fingerprint,
-                        pruned_empty=pruned_empty)
+        else:
+            if len(arrays) != max_arrays:
+                arrays.append(_OpenArray(coverage_table(space, n_primers, len(arrays))))
+                if arrays[-1].offer(pool, sides, adjacency, r):
+                    continue
+            remaining.append(pool.id)
+    designs = [a.design(r, instance.fingerprint) for a in arrays]
+    return designs, uncovered, remaining
+
+
+def sequential_greedy(instance):
+    """First-fit scan: each pool keeps its first primer ``first_fit`` accepts.
+
+    It is first_fit_pack's one-array case, every pool offered.
+    """
+    designs, _, _ = first_fit_pack(instance, 1, isolate=False)
+    if designs:
+        return designs[0]
+    return DesignResult((), fingerprint=instance.fingerprint)
 
 
 class HybridizationGraph:
@@ -300,14 +385,20 @@ def build_graph(instance):
     return HybridizationGraph(instance)
 
 
+def root_graph(instance):
+    """The graph of the instance's root, built on first use."""
+    root = instance.root
+    if root.graph is None:
+        root.graph = build_graph(root)
+    return root.graph
+
+
 def _run_graph(instance):
     """The root's graph, built on first use, its run state on this instance's pools."""
     root = instance.root
-    g = root.graph
-    if g is None:
-        g = root.graph = build_graph(root)
-        if instance.n_pools == root.n_pools:
-            return g  # a fresh graph's run is on all the root's pools
+    if root.graph is None and instance.n_pools == root.n_pools:
+        return root_graph(root)  # a fresh graph's run is on all the root's pools
+    g = root_graph(instance)
     g.reset(instance.pools)
     return g
 

@@ -39,6 +39,7 @@ this table; run it with ``-s``.
 """
 
 import sys
+from array import array
 from itertools import combinations
 
 from snpmux.decodability import DesignResult, SelectedPool
@@ -139,6 +140,7 @@ def brute_force_max_decodable(instance, cap=DEFAULT_ENUMERATION_CAP):
     Depth-first branch and bound over the pools in order: each pool gets
     one of its primers or is skipped. A child is made only when
     ``first_fit`` accepts the primer into a copy of the node's owner map
+    (one int per probe of the space: uncovered, shared or a slot's own)
     and counts (coverage only grows, so no rejected selection recovers),
     and backtracking restores the node's own copy. A branch is cut when
     the selected count plus the pools still to come cannot beat the best
@@ -166,12 +168,13 @@ def brute_force_max_decodable(instance, cap=DEFAULT_ENUMERATION_CAP):
         if len(chosen) + len(pools) - i <= len(best):
             return
         for a, (nplus, nminus) in enumerate(adjacency[i]):
-            child = owner.copy(), counts.copy()
+            child = owner[:], counts[:]
             if first_fit(*child, r, nplus, nminus):
                 search(i + 1, *child, chosen + [(i, a)])
         search(i + 1, owner, counts, chosen)
 
-    search(0, {}, [], [])
+    # a dense owner map, all uncovered: the spaces searched here are tiny
+    search(0, array("i", [0]) * space.size, [], [])
     primers = [pools[i].primers[a] for i, a in best]
     ok, witnesses = ref_witnesses(primers, r, space)
     if not ok:

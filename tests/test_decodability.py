@@ -7,9 +7,11 @@ inputs, and the verifier's coverage kernel with the reference's count.
 """
 
 import random
+from array import array
 
 import pytest
 
+from snpmux import probespace
 from snpmux.datasets import RandomSpec, generate_random
 from snpmux.decodability import (
     DesignResult,
@@ -20,6 +22,7 @@ from snpmux.decodability import (
 )
 from snpmux.instance import Pool, Primer, ProblemInstance
 from snpmux.probespace import CTokenSpace, ExplicitSpace, KmerSpace
+from snpmux.solvers import ALGORITHMS, solve
 
 from reference import ref_coverage, ref_witnesses
 
@@ -119,11 +122,57 @@ def test_coverage_kernel_matches_a_per_probe_count():
                 primers = [p for pool in generate_random(spec) for p in pool.primers]
                 rng.shuffle(primers)
                 primers = primers[:rng.randint(0, len(primers))]
-                specs, cover = _coverage(space, primers)
-                assert (specs, dict(cover)) == ref_coverage(space, primers)
+                ref_specs, ref_cover = ref_coverage(space, primers)
+                # an instance of no primers takes the sparse table, one of
+                # space.size primers the dense one
+                for n_primers in (0, space.size):
+                    probes, ends, cover = _coverage(space, primers, n_primers)
+                    assert isinstance(cover, array) == bool(n_primers)
+                    specs = [tuple(probes[a:b]) for a, b in zip([0, *ends], ends)]
+                    assert specs == ref_specs
+                    counts = [cover[x] for x in range(space.size)]
+                    assert counts == [ref_cover.get(x, 0) for x in range(space.size)]
+                    if not n_primers:
+                        assert len(cover) == len(ref_cover)  # reading 0 stored nothing
                 for r in (1, 2):
                     outcomes.add(ref_witnesses(primers, r, space)[0])
     assert outcomes == {True, False}
+
+
+def test_verify_reports_are_the_same_on_both_sides_of_the_dense_rule(monkeypatch):
+    # solver designs and corrupted copies of them get the same report
+    # whether the verifier counts into an array or a dict
+    rng = random.Random(409)
+    rule = probespace.DENSE_ENTRIES_PER_PRIMER
+    sides, outcomes = set(), set()
+    for space in (KmerSpace(3), KmerSpace(5), KmerSpace(6), CTokenSpace(6), CTokenSpace(8)):
+        for r in (1, 2):
+            pools = generate_random(RandomSpec(30, 2, rng.randint(4, 9), "pair", rng.getrandbits(32)))
+            inst = ProblemInstance(pools, space, r)
+            sides.add(space.size <= rule * inst.n_primers)
+            for alg in ALGORITHMS:
+                entries = list(solve(inst, alg).selected)
+                designs = [entries]
+                for _ in range(4):
+                    bad = list(entries)
+                    if bad and rng.random() < 0.5:
+                        i = rng.randrange(len(bad))
+                        e = bad[i]
+                        wits = e.witnesses + (rng.randrange(space.size + 2),)
+                        bad[i] = SelectedPool(e.pool_id, rng.randrange(3), wits)
+                    pool = rng.choice(pools)  # maybe selected already
+                    bad.append(SelectedPool(pool.id, 0, tuple(rng.sample(range(space.size), r))))
+                    designs.append(bad)
+                for design in designs:
+                    reports = []
+                    for per_primer in (rule, 0, 10**9):
+                        monkeypatch.setattr(probespace, "DENSE_ENTRIES_PER_PRIMER", per_primer)
+                        report = verify_design(DesignResult(tuple(design)), inst)
+                        reports.append((report.checked_pools,
+                                        [v.to_line() for v in report.violations]))
+                    assert reports[0] == reports[1] == reports[2], (space.descriptor, r, alg)
+                    outcomes.add(not reports[0][1])
+    assert sides == {True, False} and outcomes == {True, False}
 
 
 def test_decodability_is_monotone_in_r():

@@ -3,7 +3,7 @@ import re
 
 import pytest
 
-from snpmux import solvers
+from snpmux import probespace, solvers
 from snpmux.decodability import verify_design
 from snpmux.instance import Pool, Primer, ProblemInstance
 from snpmux.partition import (
@@ -212,6 +212,38 @@ def test_partition_matches_fresh_instance_per_round():
                     seen_uncovered += len(uncovered)
                     seen_remaining += len(remaining)
     assert seen_empty and seen_uncovered and seen_remaining
+
+
+def _outcome(report):
+    return ([res.to_lines() for res in report.arrays], [res.pruned_empty for res in report.arrays],
+            report.uncovered, report.remaining)
+
+
+def test_seq_is_the_same_on_both_sides_of_the_dense_rule(monkeypatch):
+    # seq solves and seq partitions come out the same whether every
+    # coverage table is an array, none is, or the rule picks, and each
+    # partition equals one seq round per array
+    rng = random.Random(97)
+    rule = probespace.DENSE_ENTRIES_PER_PRIMER
+    sides = set()
+    for space in (KmerSpace(3), KmerSpace(5), KmerSpace(6), CTokenSpace(5), CTokenSpace(7),
+                  CTokenSpace(8)):
+        for r in (1, 2, 3):
+            for max_arrays in (None, 1, 3):
+                inst = ProblemInstance(_mixed_pools(rng, 40, 1, 9), space, r)
+                arrays, uncovered, remaining = _partition_reference(inst, "seq", max_arrays)
+                want = _outcome(PartitionReport(tuple(arrays), uncovered, remaining))
+                solved = []
+                for per_primer in (rule, 0, 10**9):
+                    monkeypatch.setattr(probespace, "DENSE_ENTRIES_PER_PRIMER", per_primer)
+                    report = partition(inst, "seq", max_arrays)
+                    assert _outcome(report) == want, (space.descriptor, r, max_arrays, per_primer)
+                    res = solve(inst, "seq")
+                    solved.append((res.to_lines(), res.pruned_empty))
+                assert solved[0] == solved[1] == solved[2]
+                dense = rule * inst.n_primers // space.size  # tables the rule makes arrays
+                sides.add("none" if not dense else "all" if dense >= len(report.arrays) else "some")
+    assert sides == {"none", "some", "all"}
 
 
 def test_report_fraction_edge_cases():

@@ -9,15 +9,18 @@ against a naive window scan written independently below.
 import hashlib
 import random
 import tracemalloc
+from array import array
 
 import pytest
 
 from snpmux.probespace import (
     ConfigError,
     CTokenSpace,
+    DENSE_ENTRIES_PER_PRIMER,
     ExplicitSpace,
     KmerSpace,
     count_ctokens,
+    coverage_table,
     load_probe_list,
     make_space,
 )
@@ -263,6 +266,27 @@ def test_ctoken20_spectrum_allocates_no_index():
         tracemalloc.stop()
     assert len(spectrum) > 30  # about one token per start
     assert peak < 100_000  # bytes; a whole-space index would take gigabytes
+
+
+def test_coverage_table_is_dense_up_to_its_rule():
+    # dense while the tables held, this one included, have at most 64
+    # entries per primer of the instance: 256 entries each here
+    assert DENSE_ENTRIES_PER_PRIMER == 64
+    space = KmerSpace(4)
+    for n_primers, held, dense in ((4, 0, True), (3, 0, False), (8, 1, True), (7, 1, False),
+                                   (12, 2, True), (11, 2, False), (0, 0, False)):
+        table = coverage_table(space, n_primers, held)
+        assert isinstance(table, array) == dense, (n_primers, held)
+        assert [table[x] for x in range(space.size)] == [0] * space.size
+        table[7] += 2
+        table[255] = -1
+        assert (table[7], table[255], table[8]) == (2, -1, 0)
+        if not dense:
+            assert sorted(table) == [7, 255]  # reading 0 stores nothing
+    # the benchmark's ctoken:13 instance (10,000 pools of two primers) is
+    # dense, but its 9,632 selected primers alone would not be
+    assert isinstance(coverage_table(CTokenSpace(13), 20_000), array)
+    assert not isinstance(coverage_table(CTokenSpace(13), 9_632), array)
 
 
 def test_explicit_space():

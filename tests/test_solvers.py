@@ -1,6 +1,7 @@
 import hashlib
 import random
 import re
+import tracemalloc
 
 import pytest
 
@@ -398,6 +399,30 @@ def test_designs_match_pinned_hashes():
     report = partition(_seeded_instance(KmerSpace(4), 1, 79), "seq")
     assert [res.size for res in report.arrays] == [67, 66, 59, 55, 56, 52, 40, 5]
     assert _sha(_partition_lines(report)) == _PINNED_PARTITION_SEQ
+
+
+def test_seq_and_verify_memory_per_primer_is_bounded():
+    # 5,100 pools of two primers at ctoken:13, so both coverage tables are
+    # arrays. With a dict per table and a tuple per kept spectrum, the solve
+    # peaked at 669 bytes per primer and the verification at 579; with
+    # arrays they peak at 418 and 348.
+    inst = ProblemInstance(generate_random(RandomSpec(5100, 2, 20, "pair", 1313)),
+                           CTokenSpace(13), 2)
+    inst.fingerprint
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        res = solve(inst, "seq")
+        solve_peak = tracemalloc.get_traced_memory()[1] - before
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        report = verify_design(res, inst)
+        verify_peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert res.size > 5000 and report.ok
+    assert solve_peak / 10_200 < 500
+    assert verify_peak / 10_200 < 500
 
 
 def test_kmer16_probe_ids_above_2_31():
