@@ -15,6 +15,7 @@ claimed design.
 from array import array
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 
 from .instance import InstanceFormatError, records
 from .probespace import coverage_table
@@ -92,22 +93,31 @@ def parse_design_lines(text, comments=None):
 def _coverage(space, primers, n_primers):
     """One count over every primer's products: (probes, ends, cover).
 
-    cover[x] counts the primers whose extended products reach probe x. It
-    is a probespace.coverage_table for an instance of n_primers, so a
-    flat array when the space is small enough next to the instance. A
-    probe is informative for the single primer covering it when that
-    primer reaches it unextended, i.e. it is in its N+ with cover 1. Only
-    the N+ are kept: primer i's is probes[ends[i - 1]:ends[i]] (from 0
-    for primer 0), one flat array of probe ids below 4**16.
+    cover[x] counts the primers whose extended products reach probe x:
+    a flat array when probespace.coverage_table makes one for an instance
+    of n_primers, and otherwise a Counter, which counts in C and holds
+    only the probes reached. A probe is informative for the single primer
+    covering it when that primer reaches it unextended, i.e. it is in its
+    N+ with cover 1. Only the N+ are kept: primer i's is
+    probes[ends[i - 1]:ends[i]] (from 0 for primer 0), one flat array of
+    probe ids below 4**16.
     """
     probes, ends = array("I"), array("q")
+
+    def products():
+        for primer in primers:
+            nplus, nminus = space.primer_adjacency(primer.sequence, primer.extensions)
+            probes.extend(nplus)
+            ends.append(len(probes))
+            yield nplus
+            yield nminus
+
     cover = coverage_table(space, n_primers)
-    for primer in primers:
-        nplus, nminus = space.primer_adjacency(primer.sequence, primer.extensions)
-        probes.extend(nplus)
-        ends.append(len(probes))
-        for x in nplus + nminus:
+    if isinstance(cover, array):
+        for x in chain.from_iterable(products()):
             cover[x] += 1
+    else:
+        cover = Counter(chain.from_iterable(products()))
     return probes, ends, cover
 
 

@@ -26,11 +26,12 @@ A space only says which probes those end windows hit.
 
 ``coverage_table`` makes the per-probe tables that the solvers' first-fit
 rule and the verifier count into, and holds the one rule for when such a
-table may be a flat array.
+table may be a flat array; ``table_entries`` reads either kind.
 """
 
 import functools
 from array import array
+from itertools import repeat
 
 from .dnaseq import BASE_CODE, SequenceError, normalize, reverse_complement, unpack_value
 from .instance import InstanceFormatError, read_text, records
@@ -298,21 +299,15 @@ class ExplicitSpace(ProbeSpace):
         return out
 
 
-# A dense coverage table costs 4 bytes for every probe of the space; a
-# sparse one about 100 for each probe it holds. All the dense tables that
-# one instance's solve or verification holds together get at most this
-# many entries per primer of the instance: 256 bytes, about what the
-# parsed instance itself keeps per primer.
+# A dense coverage table costs 4 bytes for every probe of the space, a
+# dict one a boxed key and value for each probe it holds. Measured with
+# tracemalloc on 20-mer pools of two primers (kmer:11, ctoken:14), a seq
+# solve or a verification peaks the same with either kind at about 120
+# entries per primer. All the dense tables that one instance's solve or
+# verification holds together get at most this many entries per primer
+# of the instance, about half that, so an array stays the smaller kind
+# for primers that reach half as many probes.
 DENSE_ENTRIES_PER_PRIMER = 64
-
-
-class _SparseTable(dict):
-    """A coverage table as a dict: an absent probe id reads as 0 and is not stored."""
-
-    __slots__ = ()
-
-    def __missing__(self, key):
-        return 0
 
 
 def coverage_table(space, n_primers, held=0):
@@ -321,12 +316,22 @@ def coverage_table(space, n_primers, held=0):
     It is an ``array('i')`` of space.size entries when that table and the
     ``held`` tables its caller already holds have at most
     DENSE_ENTRIES_PER_PRIMER entries per primer of an instance of
-    n_primers; otherwise a dict in which an absent id reads as 0, without
-    being stored. Both are read and written by probe id alike.
+    n_primers; otherwise a dict that holds only the ids written. Both
+    are written by probe id alike; table_entries reads them alike.
     """
     if (held + 1) * space.size <= DENSE_ENTRIES_PER_PRIMER * n_primers:
         return array("i", [0]) * space.size
-    return _SparseTable()
+    return {}
+
+
+def table_entries(table, ids):
+    """A coverage table's entries for these probe ids, as an iterator.
+
+    An id a dict table lacks reads 0, through dict.get in C.
+    """
+    if isinstance(table, array):
+        return map(table.__getitem__, ids)
+    return map(table.get, ids, repeat(0))
 
 
 def load_probe_list(path):

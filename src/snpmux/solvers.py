@@ -50,7 +50,7 @@ from heapq import heapify, heappop, heappush
 from itertools import chain, islice
 
 from .decodability import DesignResult, SelectedPool
-from .probespace import coverage_table
+from .probespace import coverage_table, table_entries
 
 logger = logging.getLogger(__name__)
 
@@ -78,20 +78,19 @@ def first_fit(owner, counts, r, nplus, nminus):
 
     It fits when >= r of its unextended probes are uncovered and adding it
     leaves every slot with >= r informative probes; if not, nothing
-    changes. ``owner``, a probespace.coverage_table, reads 0 for an
-    uncovered probe, ``slot + 1`` for a probe informative for that slot
-    (covered once, unextended) and ``_SHARED`` for any other covered probe
-    (covered twice, or once only through an extension). ``counts`` holds
-    each slot's informative-probe count.
+    changes. ``owner`` is a probespace.coverage_table, whose entry is 0
+    for an uncovered probe, ``slot + 1`` for a probe informative for
+    that slot (covered once, unextended) and ``_SHARED`` for any other
+    covered probe (covered twice, or once only through an extension).
+    ``counts`` holds each slot's informative-probe count.
     """
-    get = owner.__getitem__
-    states = list(map(get, nplus))
+    states = list(table_entries(owner, nplus))
     gain = states.count(0)
     if gain < r:
         return False
     # would any earlier selection drop below r informative probes?
     loss = {}
-    for s in chain(states, map(get, nminus)):
+    for s in chain(states, table_entries(owner, nminus)):
         if s > 0:
             loss[s] = loss.get(s, 0) + 1
     if any(counts[s - 1] - lost < r for s, lost in loss.items()):
@@ -237,7 +236,8 @@ class HybridizationGraph:
     Primers whose unextended spectrum is empty can never witness anything;
     they get no edges and start every run dead (counted in pruned_empty).
     ``reset`` sets the run state for a run on some of the pools; a new
-    graph starts with the run on all of them.
+    graph starts with the run on all of them, and is ``fresh`` until a
+    solve first takes it or it is reset.
     """
 
     def __init__(self, instance):
@@ -285,6 +285,7 @@ class HybridizationGraph:
         self.off_minus, self.nb_minus = off_minus, nb_minus
 
         self.reset(pools)
+        self.fresh = True
 
     def reset(self, pools):
         """Reset the run state to a run on these pools of the graph.
@@ -300,6 +301,7 @@ class HybridizationGraph:
         n_run = sum(len(pool.primers) for pool in pools)
         # the old state goes first, so the new one can take its memory
         self.d_plus = self.d_total = self.alive = None
+        self.fresh = False
         if n_run == self.n_primers:
             d_plus = [b - a for a, b in zip(off_plus, islice(off_plus, 1, None))]
             d_total = [d + b - a for d, a, b in zip(d_plus, off_minus, islice(off_minus, 1, None))]
@@ -395,11 +397,11 @@ def root_graph(instance):
 
 def _run_graph(instance):
     """The root's graph, built on first use, its run state on this instance's pools."""
-    root = instance.root
-    if root.graph is None and instance.n_pools == root.n_pools:
-        return root_graph(root)  # a fresh graph's run is on all the root's pools
     g = root_graph(instance)
-    g.reset(instance.pools)
+    # a fresh graph's run is on all the root's pools already
+    if not (g.fresh and instance.n_pools == len(g.pools)):
+        g.reset(instance.pools)
+    g.fresh = False
     return g
 
 

@@ -189,6 +189,20 @@ def test_partition_builds_one_graph(monkeypatch):
     assert builds == [inst]
 
 
+def test_first_round_runs_on_the_graph_as_built(monkeypatch):
+    # with no uncovered pools, the first round solves every pool, so only
+    # the later rounds reset the graph the partition has just built
+    resets = []
+    real_reset = solvers.HybridizationGraph.reset
+    monkeypatch.setattr(solvers.HybridizationGraph, "reset",
+                        lambda g, pools: resets.append(len(pools)) or real_reset(g, pools))
+    inst = ProblemInstance(_mixed_pools(random.Random(89), 40, 8, 9), KmerSpace(3), 1)
+    report = partition(inst, "minprobe")
+    assert not report.uncovered and len(report.arrays) > 2
+    assert len(resets) == len(report.arrays)  # the build's, then one per later round
+    assert resets[:2] == [40, 40 - report.arrays[0].size]
+
+
 def test_partition_matches_fresh_instance_per_round():
     rng = random.Random(83)
     list_space = ExplicitSpace(sorted({"".join(rng.choice("ACGT") for _ in range(rng.randint(2, 3)))
@@ -220,29 +234,27 @@ def _outcome(report):
 
 
 def test_seq_is_the_same_on_both_sides_of_the_dense_rule(monkeypatch):
-    # seq solves and seq partitions come out the same whether every
-    # coverage table is an array, none is, or the rule picks, and each
-    # partition equals one seq round per array
+    # seq solves and seq partitions come out the same whether the rule
+    # picks each coverage table, every table is a dict or every one is
+    # an array; test_partition_matches_fresh_instance_per_round checks a
+    # partition against one seq round per array
     rng = random.Random(97)
     rule = probespace.DENSE_ENTRIES_PER_PRIMER
     sides = set()
     for space in (KmerSpace(3), KmerSpace(5), KmerSpace(6), CTokenSpace(5), CTokenSpace(7),
                   CTokenSpace(8)):
         for r in (1, 2, 3):
-            for max_arrays in (None, 1, 3):
-                inst = ProblemInstance(_mixed_pools(rng, 40, 1, 9), space, r)
-                arrays, uncovered, remaining = _partition_reference(inst, "seq", max_arrays)
-                want = _outcome(PartitionReport(tuple(arrays), uncovered, remaining))
-                solved = []
-                for per_primer in (rule, 0, 10**9):
-                    monkeypatch.setattr(probespace, "DENSE_ENTRIES_PER_PRIMER", per_primer)
-                    report = partition(inst, "seq", max_arrays)
-                    assert _outcome(report) == want, (space.descriptor, r, max_arrays, per_primer)
-                    res = solve(inst, "seq")
-                    solved.append((res.to_lines(), res.pruned_empty))
-                assert solved[0] == solved[1] == solved[2]
-                dense = rule * inst.n_primers // space.size  # tables the rule makes arrays
-                sides.add("none" if not dense else "all" if dense >= len(report.arrays) else "some")
+            inst = ProblemInstance(_mixed_pools(rng, 40, 1, 9), space, r)
+            outcomes = []
+            for per_primer in (rule, 0, 10**9):
+                monkeypatch.setattr(probespace, "DENSE_ENTRIES_PER_PRIMER", per_primer)
+                res = solve(inst, "seq")
+                outcomes.append([(res.to_lines(), res.pruned_empty)] + [
+                    _outcome(partition(inst, "seq", max_arrays)) for max_arrays in (None, 1, 3)])
+            assert outcomes[0] == outcomes[1] == outcomes[2], (space.descriptor, r)
+            n_arrays = len(outcomes[0][1][0])
+            dense = rule * inst.n_primers // space.size  # tables the rule makes arrays
+            sides.add("none" if not dense else "all" if dense >= n_arrays else "some")
     assert sides == {"none", "some", "all"}
 
 

@@ -23,6 +23,7 @@ from snpmux.probespace import (
     coverage_table,
     load_probe_list,
     make_space,
+    table_entries,
 )
 
 from reference import is_ctoken
@@ -277,10 +278,11 @@ def test_coverage_table_is_dense_up_to_its_rule():
                                    (12, 2, True), (11, 2, False), (0, 0, False)):
         table = coverage_table(space, n_primers, held)
         assert isinstance(table, array) == dense, (n_primers, held)
-        assert [table[x] for x in range(space.size)] == [0] * space.size
-        table[7] += 2
+        assert list(table_entries(table, range(space.size))) == [0] * space.size
+        table[7] = 2
         table[255] = -1
-        assert (table[7], table[255], table[8]) == (2, -1, 0)
+        assert (table[7], table[255]) == (2, -1)
+        assert list(table_entries(table, [255, 8, 7, 9])) == [-1, 0, 2, 0]
         if not dense:
             assert sorted(table) == [7, 255]  # reading 0 stores nothing
     # the benchmark's ctoken:13 instance (10,000 pools of two primers) is
