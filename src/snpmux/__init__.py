@@ -12,7 +12,7 @@ from .dnaseq import complement, reverse_complement, is_degenerate
 from .probespace import KmerSpace, CTokenSpace, ExplicitSpace, make_space
 from .instance import Primer, Pool, ProblemInstance
 from .decodability import DesignResult, SelectedPool, verify_design
-from .solvers import build_graph, solve
+from .solvers import solve
 from .partition import partition, coverage_curve
 from .datasets import RandomSpec, generate_random, load_snp_table
 from .oracles import BipartiteGraph, reduce_matching_to_design
@@ -28,7 +28,6 @@ __all__ = [
     "Primer",
     "Pool",
     "ProblemInstance",
-    "build_graph",
     "DesignResult",
     "SelectedPool",
     "verify_design",

@@ -160,8 +160,9 @@ class ProblemInstance:
     fingerprint and hybridization graph: the partitioner solves one subset
     per array, every array's design verifies against the root, and no
     subset's text is formatted or hashed. ``root.graph`` is the graph of
-    all the root's pools, None until a graph solver first builds it; each
-    later graph solve, of the root or of a subset, resets its run state.
+    all the root's pools, None until a graph solver first builds its
+    adjacency; every graph solve, of the root or of a subset, then resets
+    its run state once.
     """
 
     def __init__(self, pools, space, redundancy):

@@ -16,9 +16,9 @@ stay the caller's, so results map straight back.
 (solvers.first_fit_pack): each pool goes to the first array that takes
 it. A graph solver runs one round per array instead, each on
 ``instance.subset`` of the residual pools, which shares the parent's
-hybridization graph: the graph is built once, and each round resets
-only its run state to the residual. The uncovered pools are read off
-that graph's unextended row lengths before the first round.
+hybridization graph: the graph's adjacency is built once, and each
+round resets its run state once, to the residual. The uncovered pools
+are read off that graph's unextended row lengths before the first round.
 """
 
 import logging

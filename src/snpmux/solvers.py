@@ -6,7 +6,8 @@ verification by construction:
 * ``seq``: scan pools in order and keep a pool whenever its first
   acceptable primer leaves every selection with >= r informative probes.
   It is one array of the first-fit packer (``first_fit_pack``) that
-  partitions with it, and its coverage state is a per-probe table.
+  partitions with it, offered every pool, and its coverage state is a
+  per-probe table.
 * ``minprimer``: repeatedly select a minimum-degree live primer from the
   hybridization graph, certify it with its r smallest-degree spectrum
   probes, and remove every primer that could mask those witnesses.
@@ -24,10 +25,10 @@ order, so every deletion rule reads the same arrays. A vertex's degree
 counts its live spectrum and extension-only edges alike.
 
 The adjacency is built once per root instance, on its first graph solve,
-and kept on it (see ProblemInstance.subset). Each later solve resets only
-the run state (live flags and degrees) to the pools it solves: solving an
-instance twice, or one subset of it per partition round, builds nothing
-anew.
+and kept on it (see ProblemInstance.subset). The build makes no run state:
+every solve, the first included, resets the run state (live flags and
+degrees) once, to the pools it solves, so solving an instance twice, or
+one subset of it per partition round, builds nothing anew.
 
 They are one loop over a binary heap of (key, vertex) pairs packed
 into single ints. Degrees only decrease, so every decrease pushes a
@@ -157,20 +158,20 @@ class _OpenArray:
         return DesignResult(tuple(selected), fingerprint=fingerprint, pruned_empty=self.pruned)
 
 
-def first_fit_pack(instance, max_arrays=None, isolate=True):
+def first_fit_pack(instance, max_arrays=None):
     """Pack the pools into arrays first-fit, in one pass: (designs, uncovered, remaining).
 
-    Each pool, in order, is offered to the open arrays in turn and goes to
-    the first that takes one of its primers. When none does, a new array
-    opens, up to max_arrays; a pool that no array may take is remaining.
-    An array's state depends only on the pools it took, so array j is
-    what ``seq`` selects from the pools that arrays 1 to j - 1 rejected,
-    and each primer's adjacency is computed once, not once per array.
+    A pool none of whose primers has r unextended probes is uncovered
+    before any array sees it. Each other pool, in order, is offered to the
+    open arrays in turn and goes to the first that takes one of its
+    primers. When none does, a new array opens and takes it, up to
+    max_arrays; a pool that no array may take is remaining. An array's
+    state depends only on the pools it took, so array j is what ``seq``
+    selects from the pools that arrays 1 to j - 1 rejected, and each
+    primer's adjacency is computed once, not once per array.
 
-    With isolate, a pool none of whose primers has r unextended probes is
-    uncovered before any array sees it; without, it is offered like any
-    other. Each array's coverage is a probespace.coverage_table, dense
-    while the tables open so far fit its rule.
+    Each array's coverage is a probespace.coverage_table, dense while the
+    tables open so far fit its rule.
     """
     space, r = instance.space, instance.redundancy
     adjacency = space.primer_adjacency
@@ -178,23 +179,23 @@ def first_fit_pack(instance, max_arrays=None, isolate=True):
     arrays, uncovered, remaining = [], [], []
     for pool in instance.pools:
         sides = []  # the adjacency of the pool's primers, as far as computed
-        if isolate:
-            for primer in pool.primers:
-                sides.append(adjacency(primer.sequence, primer.extensions))
-                if len(sides[-1][0]) >= r:
-                    break
-            else:
-                uncovered.append(pool.id)
-                continue
+        for primer in pool.primers:
+            sides.append(adjacency(primer.sequence, primer.extensions))
+            if len(sides[-1][0]) >= r:
+                break
+        else:
+            uncovered.append(pool.id)
+            continue
         for a in arrays:
             if a.offer(pool, sides, adjacency, r):
                 break
         else:
-            if len(arrays) != max_arrays:
+            if len(arrays) == max_arrays:
+                remaining.append(pool.id)
+            else:
+                # an empty table takes any primer with r unextended probes
                 arrays.append(_OpenArray(coverage_table(space, n_primers, len(arrays))))
-                if arrays[-1].offer(pool, sides, adjacency, r):
-                    continue
-            remaining.append(pool.id)
+                arrays[-1].offer(pool, sides, adjacency, r)
     designs = [a.design(r, instance.fingerprint) for a in arrays]
     return designs, uncovered, remaining
 
@@ -202,12 +203,13 @@ def first_fit_pack(instance, max_arrays=None, isolate=True):
 def sequential_greedy(instance):
     """First-fit scan: each pool keeps its first primer ``first_fit`` accepts.
 
-    It is first_fit_pack's one-array case, every pool offered.
+    It is one of first_fit_pack's arrays, offered every pool.
     """
-    designs, _, _ = first_fit_pack(instance, 1, isolate=False)
-    if designs:
-        return designs[0]
-    return DesignResult((), fingerprint=instance.fingerprint)
+    space, r = instance.space, instance.redundancy
+    a = _OpenArray(coverage_table(space, instance.n_primers))
+    for pool in instance.pools:
+        a.offer(pool, [], space.primer_adjacency, r)
+    return a.design(r, instance.fingerprint)
 
 
 class HybridizationGraph:
@@ -235,9 +237,9 @@ class HybridizationGraph:
     d_total[u] all its live neighbours; live_primers counts live primers.
     Primers whose unextended spectrum is empty can never witness anything;
     they get no edges and start every run dead (counted in pruned_empty).
-    ``reset`` sets the run state for a run on some of the pools; a new
-    graph starts with the run on all of them, and is ``fresh`` until a
-    solve first takes it or it is reset.
+    The build makes the adjacency only, and sets pruned_empty to what a
+    run on every pool counts; ``reset`` alone makes the run state, for a
+    run on some or all of the pools.
     """
 
     def __init__(self, instance):
@@ -283,9 +285,7 @@ class HybridizationGraph:
         _append_transpose(off_minus, nb_minus, n, m)
         self.off_plus, self.nb_plus = off_plus, nb_plus
         self.off_minus, self.nb_minus = off_minus, nb_minus
-
-        self.reset(pools)
-        self.fresh = True
+        self.pruned_empty = pruned
 
     def reset(self, pools):
         """Reset the run state to a run on these pools of the graph.
@@ -301,7 +301,6 @@ class HybridizationGraph:
         n_run = sum(len(pool.primers) for pool in pools)
         # the old state goes first, so the new one can take its memory
         self.d_plus = self.d_total = self.alive = None
-        self.fresh = False
         if n_run == self.n_primers:
             d_plus = [b - a for a, b in zip(off_plus, islice(off_plus, 1, None))]
             d_total = [d + b - a for d, a, b in zip(d_plus, off_minus, islice(off_minus, 1, None))]
@@ -383,7 +382,7 @@ def _append_transpose(off, nb, n, m):
 
 
 def build_graph(instance):
-    """Build the hybridization graph for an instance, its run on every pool."""
+    """Build the hybridization graph's adjacency for an instance; reset makes a run."""
     return HybridizationGraph(instance)
 
 
@@ -393,16 +392,6 @@ def root_graph(instance):
     if root.graph is None:
         root.graph = build_graph(root)
     return root.graph
-
-
-def _run_graph(instance):
-    """The root's graph, built on first use, its run state on this instance's pools."""
-    g = root_graph(instance)
-    # a fresh graph's run is on all the root's pools already
-    if not (g.fresh and instance.n_pools == len(g.pools)):
-        g.reset(instance.pools)
-    g.fresh = False
-    return g
 
 
 def _cascade(g, stack, push_p=None, push_x=None):
@@ -504,7 +493,8 @@ def _min_degree_greedy(instance, by_probe):
     (by_probe) pops probes and selects the popped probe's minimum-degree
     unextended primer, favoring sparsely contested regions of the array.
     """
-    g = _run_graph(instance)
+    g = root_graph(instance)
+    g.reset(instance.pools)
     _initial_prune(g)
     alive = g.alive
     key = g.d_total

@@ -38,6 +38,9 @@ def test_splitmix64_matches_reference():
     for seed in (0, 1, 42, 2**64 - 1, 0xDEADBEEF):
         rng = SplitMix64(seed)
         assert [rng.next() for _ in range(50)] == _reference_splitmix64(seed, 50)
+    for seed in (-1, 2**64):
+        with pytest.raises(ValueError):
+            SplitMix64(seed)
 
 
 def test_splitmix64_outputs_are_64_bit():

@@ -58,6 +58,8 @@ def test_pool_validation():
         _pool(0, a, a)  # duplicate strand tag
     # the pool owns its id: a primer carries none to match
     assert _pool(3, Primer("ACGTACGT", "A")).id == 3
+    # primers given as a list are kept as a tuple
+    assert Pool(0, [a]).primers == (a,)
     c = Primer("GGGG", "T", "+")
     with pytest.raises(ValueError):
         _pool(0, a, c)  # two primers on the same strand
@@ -329,6 +331,7 @@ def test_graph_structure_single_extension():
     ]
     inst = ProblemInstance(pools, KmerSpace(2), 1)
     g = build_graph(inst)
+    g.reset(inst.pools)
     assert g.n_primers == 2
     assert g.probe_ids.tolist() == [1, 6, 11, 12]
     # probes follow the primers: ids 1, 6, 11, 12 are vertices 2..5
@@ -359,6 +362,7 @@ def test_graph_prunes_empty_spectrum_primers():
     ]
     inst = ProblemInstance(pools, KmerSpace(3), 1)
     g = build_graph(inst)
+    g.reset(inst.pools)
     assert g.pruned_empty == 1
     assert g.alive[0] == 0
     assert g.alive[1] == 1
@@ -376,6 +380,8 @@ def test_graph_is_deterministic():
     inst = ProblemInstance(pools, KmerSpace(3), 1)
     g1 = build_graph(inst)
     g2 = build_graph(inst)
+    g1.reset(inst.pools)
+    g2.reset(inst.pools)
     assert g1.probe_ids == g2.probe_ids
     for minus in (False, True):
         assert [g1.row(u, minus) for u in range(len(g1.alive))] == [
@@ -423,6 +429,7 @@ def test_graph_matches_naive_adjacency():
         for _ in range(12):
             inst = _random_graph_instance(rng, space, 9)
             g = build_graph(inst)
+            g.reset(inst.pools)
             ids, plus, minus = _naive_graph(inst)
             n, size = g.n_primers, len(g.alive)
             assert g.probe_ids.tolist() == ids
@@ -455,6 +462,7 @@ def test_graph_memory_per_edge_is_bounded():
     try:
         before = tracemalloc.get_traced_memory()[0]
         g = build_graph(inst)
+        g.reset(inst.pools)
         kept = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()

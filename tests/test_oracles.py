@@ -28,7 +28,7 @@ def test_public_api_is_pinned():
     assert snpmux.__all__ == [
         "complement", "reverse_complement", "is_degenerate",
         "KmerSpace", "CTokenSpace", "ExplicitSpace", "make_space",
-        "Primer", "Pool", "ProblemInstance", "build_graph",
+        "Primer", "Pool", "ProblemInstance",
         "DesignResult", "SelectedPool", "verify_design",
         "solve", "partition", "coverage_curve",
         "RandomSpec", "generate_random", "load_snp_table",
@@ -46,6 +46,8 @@ def test_bipartite_graph_validation():
         BipartiteGraph(n_left=1, n_right=1, edges=((0, 1),))
     with pytest.raises(ValueError):
         BipartiteGraph(n_left=2, n_right=2, edges=((0, 0), (0, 0)))
+    with pytest.raises(ValueError):
+        BipartiteGraph(n_left=-1, n_right=1, edges=())
 
 
 def test_brute_force_mim_known_graphs():

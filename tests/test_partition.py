@@ -91,11 +91,15 @@ def test_first_array_matches_standalone_solver():
     for pid in range(40):
         seq = "".join(rng.choice("ACGT") for _ in range(6))
         pools.append(_pool(pid, seq, "".join(sorted(rng.sample("ACGT", 2)))))
-    inst = ProblemInstance(pools, KmerSpace(2), 1)
-    for alg in ("seq", "minprimer", "minprobe"):
-        report = partition(inst, alg)
-        standalone = solve(inst, alg)
-        assert report.arrays[0].selected == standalone.selected, alg
+    # the second instance has uncovered pools, so a graph partition's
+    # first round solves a residual, not the instance the graph was built for
+    mixed = ProblemInstance(_mixed_pools(random.Random(5), 40, 1, 9), KmerSpace(3), 2)
+    for inst in (ProblemInstance(pools, KmerSpace(2), 1), mixed):
+        for alg in ("seq", "minprimer", "minprobe"):
+            report = partition(inst, alg)
+            standalone = solve(inst, alg)
+            assert report.arrays[0].selected == standalone.selected, alg
+    assert report.uncovered
 
 
 def test_partition_covers_every_pool_exactly_once():
@@ -190,8 +194,8 @@ def test_partition_builds_one_graph(monkeypatch):
 
 
 def test_first_round_runs_on_the_graph_as_built(monkeypatch):
-    # with no uncovered pools, the first round solves every pool, so only
-    # the later rounds reset the graph the partition has just built
+    # each round resets the graph once, the first to every pool, since
+    # none is uncovered, and each later one to its residual
     resets = []
     real_reset = solvers.HybridizationGraph.reset
     monkeypatch.setattr(solvers.HybridizationGraph, "reset",
@@ -199,7 +203,7 @@ def test_first_round_runs_on_the_graph_as_built(monkeypatch):
     inst = ProblemInstance(_mixed_pools(random.Random(89), 40, 8, 9), KmerSpace(3), 1)
     report = partition(inst, "minprobe")
     assert not report.uncovered and len(report.arrays) > 2
-    assert len(resets) == len(report.arrays)  # the build's, then one per later round
+    assert len(resets) == len(report.arrays)  # one per round
     assert resets[:2] == [40, 40 - report.arrays[0].size]
 
 

@@ -303,6 +303,8 @@ def test_explicit_space():
         ExplicitSpace([])
     with pytest.raises(ConfigError):
         ExplicitSpace(["AA", "AA"])
+    with pytest.raises(ConfigError, match="probe 1 is empty"):
+        ExplicitSpace(["AC", ""])
 
 
 def test_load_probe_list(tmp_path):

@@ -182,7 +182,10 @@ def _conflict_graph():
         _pool(0, ("ACG", "T", ".")),
         _pool(1, ("CGT", "A", ".")),
     ]
-    return build_graph(_instance(pools))
+    inst = _instance(pools)
+    g = build_graph(inst)
+    g.reset(inst.pools)
+    return g
 
 
 def _probe_vertex(g, probe_id):
@@ -226,6 +229,8 @@ def test_removal_order_does_not_matter():
         inst = _random_instance(rng, 8, 2, 1)
         g1 = build_graph(inst)
         g2 = build_graph(inst)
+        g1.reset(inst.pools)
+        g2.reset(inst.pools)
         n = g1.n_primers
         live_probes = [v for v in range(n, n + g1.n_probes) if g1.alive[v]]
         picks = rng.sample(live_probes, min(3, len(live_probes)))
@@ -255,7 +260,9 @@ def test_cascade_keeps_degrees_equal_to_a_recount():
     rng = random.Random(67)
     for trial in range(40):
         r = 1 + trial % 2
-        g = build_graph(_random_instance(rng, 12, 3, r))
+        inst = _random_instance(rng, 12, 3, r)
+        g = build_graph(inst)
+        g.reset(inst.pools)
         _initial_prune(g)
         _assert_degrees_recount(g)
         n, key = g.n_primers, g.d_total
@@ -314,6 +321,7 @@ def test_reset_matches_a_fresh_build_of_the_subset():
             sub = inst.subset(pools)
             g.reset(sub.pools)
             fresh = build_graph(sub)
+            fresh.reset(sub.pools)
             to_root = _vertex_map(g, fresh, sub)
             for pruned in (False, True):
                 if pruned:
